@@ -71,8 +71,12 @@ class Accelerator(Module):
         self._dma_blocked = False
         self._resume_value: Any = None
         # seq() returns immediately while no kernel invocation is live
-        # (before the doorbell and after completion).
-        self.seq_idle_when(("none", "_kernel"))
+        # (before the doorbell and after completion). The guard describes
+        # this class's seq() only: a subclass that overrides seq() may have
+        # work while no kernel runs (FIFO drains, ingress), so it gets no
+        # inherited guard.
+        if type(self).seq is Accelerator.seq:
+            self.seq_idle_when(("none", "_kernel"))
         self.kernels_completed = 0
         self.busy_cycles = 0
         self.doorbell_count = 0

@@ -247,6 +247,30 @@ class TestSeqIdleGuards:
         with pytest.raises(SimulationError):
             sim.step()
 
+    def test_parent_guard_does_not_gate_an_overriding_seq(self):
+        """The accelerator base guards its seq() on "no kernel running";
+        a subclass whose seq() also works while no kernel runs (a FIFO
+        drain, stream ingress) must still be called every cycle."""
+        from repro.apps.base import Accelerator
+        from repro.platform.interfaces import make_f1_interfaces
+
+        class Drain(Accelerator):
+            def __init__(self, name, interfaces):
+                super().__init__(name, interfaces)
+                self.drained = 0
+
+            def seq(self):
+                super().seq()
+                self.drained += 1
+
+        plain = Accelerator("plain", make_f1_interfaces("p"))
+        drain = Drain("drain", make_f1_interfaces("d"))
+        sim = _compiled_sim(plain, drain)
+        sim.run(10)
+        assert drain._kernel is None
+        assert drain.drained == 10
+        assert plain._seq_idle == [("none", "_kernel")]
+
 
 # ----------------------------------------------------------------------
 # counter hygiene + campaign smoke
