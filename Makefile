@@ -1,24 +1,24 @@
 # Development entry points. `make check` is the pre-merge gate: the full
-# tier-1 test suite, the throughput benches (which enforce the
-# event-scheduler, compiled-kernel, batch-kernel, time-warp,
+# tier-1 test suite (which includes the compiled-vs-fixpoint differential
+# matrix over every app), the throughput benches (which enforce the
+# compiled-kernel-over-fixpoint, batch-kernel, time-warp,
 # flight-recorder, warm-pool/compile-cache and trace-service floors and
-# refresh BENCH_kernel.json / BENCH_compiled.json / BENCH_batch.json /
-# BENCH_replay.json / BENCH_flightrec.json / BENCH_warm.json /
-# BENCH_service.json — every refreshed snapshot is also appended to the
-# bench-history table in benchmarks/results/results.vrs), and the fault
-# campaign (200 seeded faults across every kind; fails on any silent
-# wrong-accept).
+# refresh BENCH_kernel.json / BENCH_batch.json / BENCH_replay.json /
+# BENCH_flightrec.json / BENCH_warm.json / BENCH_service.json — every
+# refreshed snapshot is also appended to the bench-history table in
+# benchmarks/results/results.vrs), and the fault campaign (200 seeded
+# faults across every kind; fails on any silent wrong-accept).
 
 PYTHON ?= python
 PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m pytest
 
-.PHONY: check test test-schedulers bench-kernel bench-compiled bench-batch \
-        bench-replay bench-flightrec bench-warm bench-service bench \
+.PHONY: check test bench-kernel bench-batch bench-replay \
+        bench-flightrec bench-warm bench-service bench \
         artifacts faults faults-batched faults-flightrec faults-warm \
         serve-smoke
 
-check: test bench-kernel bench-compiled bench-batch bench-replay \
-       bench-flightrec bench-warm bench-service faults
+check: test bench-kernel bench-batch bench-replay bench-flightrec \
+       bench-warm bench-service faults
 
 faults:          ## seeded 200-fault injection campaign (containment gate)
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
@@ -36,19 +36,13 @@ faults-flightrec: ## campaign with flight-recorder record legs + v3 attacks
 faults-warm:     ## campaign smoke over the warm pool + persistent cache
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
 	  $(PYTHON) -m repro.harness campaign --faults 60 --seed 0 \
-	  --scheduler compiled --warm-pool --cache-dir .repro-cache/schedules
+	  --warm-pool --cache-dir .repro-cache/schedules
 
 test:            ## tier-1: the full unit/integration suite
 	$(PYTEST) -x -q
 
-test-schedulers: ## the 3-way differential + levelization suites (CI matrix)
-	$(PYTEST) tests/test_scheduler_equivalence.py tests/test_compile.py -q
-
-bench-kernel:    ## kernel throughput + BENCH_kernel.json (speedup gate)
+bench-kernel:    ## compiled vs fixpoint + BENCH_kernel.json (per-leg gates)
 	$(PYTEST) benchmarks/test_simulator_throughput.py -q -s
-
-bench-compiled:  ## compiled kernel + BENCH_compiled.json (per-leg gates)
-	$(PYTEST) benchmarks/test_compiled_kernel.py -q -s
 
 bench-batch:     ## batched campaign kernel + BENCH_batch.json (>=4x gate)
 	$(PYTEST) benchmarks/test_batch_kernel.py -q -s

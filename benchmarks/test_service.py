@@ -80,8 +80,8 @@ def test_daemon_batch_beats_sequential_cli(emit, tmp_path):
 
     # Shared replay input, recorded once up front (outside both timers).
     shared_trace = tmp_path / "shared.trace"
-    _run_cli(["record", "sha256", "-o", str(shared_trace), "--seed", "99",
-              "--scheduler", "compiled"], env)
+    _run_cli(["record", "sha256", "-o", str(shared_trace), "--seed", "99"],
+             env)
 
     # Campaigns host the crash trials on sha256 (no checkpoint support →
     # the crash legs resolve cheaply) so the batch stays a *mix* instead
@@ -94,10 +94,9 @@ def test_daemon_batch_beats_sequential_cli(emit, tmp_path):
     t0 = perf_counter()
     for i in range(N_RECORD):
         _run_cli(["record", "sha256", "-o", str(cli_dir / f"r{i}.trace"),
-                  "--seed", str(i), "--scheduler", "compiled"], env)
+                  "--seed", str(i)], env)
     for _ in range(N_REPLAY):
-        _run_cli(["replay", "sha256", str(shared_trace),
-                  "--scheduler", "compiled"], env)
+        _run_cli(["replay", "sha256", str(shared_trace)], env)
     for i in range(N_CAMPAIGN):
         _run_cli(["campaign", "--seed", str(i)] + campaign_cli, env)
     t_cli = perf_counter() - t0
@@ -116,11 +115,9 @@ def test_daemon_batch_beats_sequential_cli(emit, tmp_path):
         # and its kernels already compiled; the sequential CLI rebuilds
         # that state on every invocation by construction.
         for job_id in [
-            client.submit("record", {"app": "sha256", "seed": 999,
-                                     "scheduler": "compiled"}),
+            client.submit("record", {"app": "sha256", "seed": 999}),
             client.submit("replay", {"app": "sha256",
-                                     "trace_path": str(shared_trace),
-                                     "scheduler": "compiled"}),
+                                     "trace_path": str(shared_trace)}),
             client.submit("campaign", dict(campaign_params, seed=999)),
         ]:
             client.wait(job_id, timeout=600.0)
@@ -129,12 +126,11 @@ def test_daemon_batch_beats_sequential_cli(emit, tmp_path):
         ids = []
         for i in range(N_RECORD):
             ids.append(("record", i, client.submit(
-                "record", {"app": "sha256", "seed": i,
-                           "scheduler": "compiled"})))
+                "record", {"app": "sha256", "seed": i})))
         for _ in range(N_REPLAY):
             ids.append(("replay", None, client.submit(
-                "replay", {"app": "sha256", "trace_path": str(shared_trace),
-                           "scheduler": "compiled"})))
+                "replay", {"app": "sha256",
+                           "trace_path": str(shared_trace)})))
         for i in range(N_CAMPAIGN):
             ids.append(("campaign", i, client.submit(
                 "campaign", dict(campaign_params, seed=i))))

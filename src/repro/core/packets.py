@@ -130,15 +130,13 @@ class ChannelPacket:
 
 def iter_bits(mask: int, n: int) -> List[int]:
     """Indices of set bits in ``mask`` among the low ``n`` positions, ascending."""
+    if mask >> n:
+        raise TraceFormatError(f"bitvector has bits above channel count {n}")
     out = []
-    index = 0
     while mask:
-        if mask & 1:
-            out.append(index)
-        mask >>= 1
-        index += 1
-        if index > n:
-            raise TraceFormatError(f"bitvector has bits above channel count {n}")
+        low = mask & -mask          # isolate the lowest set bit
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -165,11 +165,8 @@ class _Campaign:
 
     def __init__(self, app: str, seed: int, crash_app: str,
                  progress: Optional[Callable[[str], None]],
-                 scheduler: Optional[str] = None,
                  flight_recorder: bool = False,
                  warm_pool: bool = False):
-        import functools
-
         from repro.apps.registry import get_app
         from repro.core.config import VidiConfig
         from repro.harness.runner import bench_config, record_run, replay_run
@@ -177,17 +174,14 @@ class _Campaign:
         self.app = app
         self.crash_app = crash_app
         self.seed = seed
-        self.scheduler = scheduler
         self.flight_recorder = flight_recorder
         self.warm_pool = warm_pool
         self.progress = progress or (lambda _msg: None)
         self.spec = get_app(app)
         self.config = bench_config(VidiConfig.r2,
                                    flight_recorder=flight_recorder)
-        # Every record/replay in the campaign runs on the chosen kernel, so
-        # the containment verdicts exercise that scheduler end to end.
-        self.record_run = functools.partial(record_run, scheduler=scheduler)
-        self.replay_run = functools.partial(replay_run, scheduler=scheduler)
+        self.record_run = record_run
+        self.replay_run = replay_run
         # Fault-free references: one record, one replay, one serialization.
         # A flight campaign serializes its reference as a v3 container so
         # the blob-layer faults attack the framed/compressed format.
@@ -220,7 +214,7 @@ class _Campaign:
         self.progress(f"batch-recording {len(record_trials)} faulted "
                       f"record leg(s), {batch_size} per kernel")
         injectors = [FaultInjector(plan) for _, _, plan in record_trials]
-        runner = BatchRunner(batch_size=batch_size, scheduler=self.scheduler)
+        runner = BatchRunner(batch_size=batch_size)
         results = runner.record_batch(
             self.spec, self.config, seeds=[self.seed] * len(record_trials),
             before_run=lambda dep, i: injectors[i].arm_recording(dep),
@@ -363,7 +357,7 @@ class _Campaign:
             sharded = replay_sharded(
                 spec, metrics.result["trace"], checkpoints,
                 segments=3, jobs=2, retries=2, injector=injector,
-                scheduler=self.scheduler, warm_pool=self.warm_pool)
+                warm_pool=self.warm_pool)
         except ReproError as exc:
             return "detected", f"sharded replay failed: {type(exc).__name__}"
         if bytes(sharded.validation.body) == clean_body:
@@ -385,13 +379,12 @@ class _Campaign:
             self.progress(f"recording {self.crash_app} with checkpoints "
                           "for worker-crash trials")
             metrics, checkpoints = record_with_checkpoints(
-                spec, seed=self.seed, scheduler=self.scheduler)
+                spec, seed=self.seed)
             if not checkpoints:
                 self._crash_reference = (None,)
             else:
                 clean = replay_sharded(spec, metrics.result["trace"],
                                        checkpoints, segments=3, jobs=2,
-                                       scheduler=self.scheduler,
                                        warm_pool=self.warm_pool)
                 self._crash_reference = (
                     spec, metrics, checkpoints,
@@ -404,7 +397,6 @@ class _Campaign:
 def run_campaign(app: str = "sha256", n_faults: int = 200, seed: int = 0,
                  crash_app: str = "dram_dma",
                  progress: Optional[Callable[[str], None]] = None,
-                 scheduler: Optional[str] = None,
                  batch_size: Optional[int] = None,
                  flight_recorder: Optional[bool] = None,
                  warm_pool: bool = False,
@@ -414,9 +406,7 @@ def run_campaign(app: str = "sha256", n_faults: int = 200, seed: int = 0,
     ``app`` hosts the cheap per-trial record/replay faults; ``crash_app``
     (which must yield checkpoints — DRAM-heavy apps do) hosts the sharded
     worker-crash trials. The same ``(app, n_faults, seed)`` triple
-    reproduces the identical campaign, fault for fault. ``scheduler``
-    selects the simulation kernel every trial runs on (``None`` defers to
-    ``REPRO_SIM_SCHEDULER`` and then the simulator default).
+    reproduces the identical campaign, fault for fault.
 
     ``batch_size`` > 1 packs the simulation-layer trials' faulted record
     legs — same app and seed, differing only by fault plan — into
@@ -446,7 +436,7 @@ def run_campaign(app: str = "sha256", n_faults: int = 200, seed: int = 0,
         from repro.sim import schedule_store
         schedule_store.configure(cache_dir)
     rng = random.Random(seed)
-    campaign = _Campaign(app, seed, crash_app, progress, scheduler=scheduler,
+    campaign = _Campaign(app, seed, crash_app, progress,
                          flight_recorder=flight_recorder,
                          warm_pool=warm_pool)
     report = CampaignReport(app=app, seed=seed)

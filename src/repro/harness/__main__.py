@@ -26,13 +26,6 @@ embedded re-anchor checkpoint even after the ring wrapped)::
         --retain-words 4096
     python -m repro.harness replay dram_dma d.trace
 
-Every record/replay/campaign command takes ``--scheduler
-{event,fixpoint,compiled}`` to pick the simulation kernel; the flag beats
-the ``REPRO_SIM_SCHEDULER`` environment variable, which beats the
-simulator default::
-
-    python -m repro.harness record sha256 -o sha.trace --scheduler compiled
-
 Long traces replay in parallel, sharded at quiescent checkpoints::
 
     python -m repro.harness record dram_dma -o d.trace --checkpoints d.ckpt
@@ -141,7 +134,7 @@ def _cmd_record(args) -> int:
             return 2
         metrics, checkpoints = record_with_checkpoints(
             spec, bench_config(VidiConfig.r2), seed=args.seed,
-            scale=args.scale, scheduler=args.scheduler)
+            scale=args.scale)
         save_checkpoints(args.checkpoints, checkpoints)
         print(f"harvested {len(checkpoints)} quiescent checkpoint(s) "
               f"-> {args.checkpoints}")
@@ -149,8 +142,7 @@ def _cmd_record(args) -> int:
         metrics = record_run(spec, bench_config(VidiConfig.r2, **overrides),
                              seed=args.seed,
                              scale=args.scale, profile=args.profile,
-                             before_run=before_run,
-                             scheduler=args.scheduler)
+                             before_run=before_run)
     trace = metrics.result["trace"]
     if args.flight_recorder:
         # The flight blob is the retained ring as a real v3 container —
@@ -208,28 +200,22 @@ def _render_kernel_profile(rows: List[dict], top: int = 20) -> str:
 
 
 def _render_kernel_stats(stats: dict) -> str:
-    """Scheduler-level counters; compiled-kernel lines only when relevant."""
+    """Kernel-level counters of a profiled (compiled-kernel) record run."""
+    evals = ", ".join(f"r{i}={n}" for i, n in enumerate(stats["rank_evals"]))
+    cache = stats["schedule_cache"]
+    hit = "hit" if stats["schedule_cache_hit"] else "miss"
     lines = [
-        f"scheduler: {stats['scheduler']}",
         f"comb evals: {stats['comb_evals']}, "
         f"quiescent cycles: {stats['quiescent_cycles']}",
+        f"compile time: {stats['compile_s'] * 1e3:.2f} ms, "
+        f"{stats['rank_count']} rank(s), "
+        f"{stats['demoted_sccs']} SCC(s) demoted to iterative settling",
+        f"per-rank comb evals: {evals or '(none)'}",
+        f"schedule cache: {hit} for this run "
+        f"({cache['hits']} hit(s), {cache['misses']} miss(es), "
+        f"{cache['entries']} cached schedule(s) in-process)",
     ]
-    if stats["scheduler"] == "compiled":
-        lines.append(
-            f"compile time: {stats['compile_s'] * 1e3:.2f} ms, "
-            f"{stats['rank_count']} rank(s), "
-            f"{stats['demoted_sccs']} SCC(s) demoted to iterative settling")
-        evals = ", ".join(f"r{i}={n}" for i, n in
-                          enumerate(stats["rank_evals"]))
-        lines.append(f"per-rank comb evals: {evals or '(none)'}")
-        cache = stats.get("schedule_cache")
-        if cache is not None:
-            hit = "hit" if stats.get("schedule_cache_hit") else "miss"
-            lines.append(
-                f"schedule cache: {hit} for this run "
-                f"({cache['hits']} hit(s), {cache['misses']} miss(es), "
-                f"{cache['entries']} cached schedule(s) in-process)")
-            lines.extend(_render_cache_tiers(cache))
+    lines.extend(_render_cache_tiers(cache))
     return "\n".join(lines)
 
 
@@ -285,7 +271,6 @@ def _cmd_replay(args) -> int:
         checkpoints = load_checkpoints(args.checkpoints)
         result = replay_sharded(spec, trace, checkpoints, jobs=args.jobs,
                                 time_warp=time_warp, injector=injector,
-                                scheduler=args.scheduler,
                                 warm_pool=args.warm_pool,
                                 cache_dir=args.cache_dir)
         if injector is not None:
@@ -299,8 +284,7 @@ def _cmd_replay(args) -> int:
         if injector is not None:
             print("note: --inject on replay arms worker-crash faults, "
                   "which need sharded mode (--jobs > 1)", file=sys.stderr)
-        metrics = replay_run(spec, trace, time_warp=time_warp,
-                             scheduler=args.scheduler)
+        metrics = replay_run(spec, trace, time_warp=time_warp)
         report = compare_traces(trace, metrics.result["validation"])
         sim = metrics.result["deployment"].sim
         print(f"replayed {spec.label}: {metrics.cycles} cycles "
@@ -315,7 +299,6 @@ def _cmd_campaign(args) -> int:
 
     report = run_campaign(app=args.app, n_faults=args.faults, seed=args.seed,
                           crash_app=args.crash_app,
-                          scheduler=args.scheduler,
                           batch_size=args.batch_size,
                           flight_recorder=args.flight_recorder,
                           warm_pool=args.warm_pool,
@@ -375,17 +358,6 @@ def _apply_cache_dir(args) -> None:
         schedule_store.configure(args.cache_dir)
 
 
-def _add_scheduler_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scheduler", choices=("event", "fixpoint", "compiled"),
-        default=None,
-        help="simulation kernel: 'event' (sensitivity work-list), "
-             "'fixpoint' (blanket reference), 'compiled' (levelized, "
-             "code-generated). Precedence: this flag, then the "
-             "REPRO_SIM_SCHEDULER environment variable, then the "
-             "simulator default")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
@@ -439,7 +411,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_rec.add_argument("--anchor-stride", type=int,
                        default=DEFAULT_FLIGHT_ANCHOR_STRIDE, metavar="N",
                        help="cycles between re-anchor checkpoint attempts")
-    _add_scheduler_arg(p_rec)
     _add_cache_args(p_rec, warm=False)
     p_rec.set_defaults(func=_cmd_record)
     p_rep = sub.add_parser("replay", help="replay and validate a trace")
@@ -464,7 +435,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             "'worker-crash:crashes=1' (sharded mode)")
     p_rep.add_argument("--inject-seed", type=int, default=0,
                        help="seed for the fault plan's random choices")
-    _add_scheduler_arg(p_rep)
     _add_cache_args(p_rep)
     p_rep.set_defaults(func=_cmd_replay)
     p_cam = sub.add_parser(
@@ -490,7 +460,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        dest="flight_recorder",
                        help="opt out: flat record legs, v2 container "
                             "attacks")
-    _add_scheduler_arg(p_cam)
     _add_cache_args(p_cam)
     p_cam.set_defaults(func=_cmd_campaign)
     p_cache = sub.add_parser(

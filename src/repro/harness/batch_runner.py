@@ -47,12 +47,13 @@ class BatchRunner:
 
     ``batch_size`` bounds how many instances share one kernel (sweeps
     larger than the bound run in consecutive batches); ``scheduler``
-    picks the per-instance simulation kernel — the batch packer needs an
-    event-style elaboration, so ``fixpoint`` cells fall back to scalar.
+    picks the per-instance simulation kernel — the batch packer needs the
+    compiled kernel's elaboration, so ``fixpoint`` runs fall back to
+    scalar (the differential tests' oracle leg).
     """
 
     def __init__(self, batch_size: int = DEFAULT_BATCH_SIZE,
-                 scheduler: Optional[str] = "compiled",
+                 scheduler: str = "compiled",
                  cache_dir: Optional[str] = None):
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -170,7 +171,7 @@ class BatchRunner:
         """Batched :func:`~repro.harness.runner.run_record_cell` over cells.
 
         Cells are grouped by everything but the seed — only cells of the
-        same (app, config, scale, patched-dma, scheduler) shape can share
+        same (app, config, scale, patched-dma, flight) shape can share
         a kernel — and each group records as one batch. Returns the same
         picklable dicts as the scalar worker, in cell order.
         """
@@ -178,18 +179,11 @@ class BatchRunner:
         groups: dict = {}
         for i, cell in enumerate(cells):
             key = (cell.app, cell.config, cell.scale, cell.patched_dma,
-                   cell.scheduler, cell.flight_recorder)
+                   cell.flight_recorder)
             groups.setdefault(key, []).append(i)
         for indices in groups.values():
             group = [cells[i] for i in indices]
-            runner = self
-            if group[0].scheduler not in (None, self.scheduler):
-                # An explicit per-cell scheduler: pack on that kernel
-                # instead (fixpoint cells fall back to scalar inside).
-                runner = BatchRunner(batch_size=self.batch_size,
-                                     scheduler=group[0].scheduler,
-                                     cache_dir=self.cache_dir)
-            metrics_list = runner.record_batch(
+            metrics_list = self.record_batch(
                 _cell_spec(group[0]), _cell_config(group[0]),
                 seeds=[c.seed for c in group], scale=group[0].scale)
             for i, cell, metrics in zip(indices, group, metrics_list):

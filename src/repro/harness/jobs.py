@@ -68,8 +68,7 @@ def _job_record(params: Dict[str, Any]) -> Dict[str, Any]:
     spec = get_app(params["app"])
     metrics = record_run(spec, _record_config(params),
                          seed=int(params.get("seed", 0)),
-                         scale=params.get("scale"),
-                         scheduler=params.get("scheduler"))
+                         scale=params.get("scale"))
     trace = metrics.result["trace"]
     if params.get("flight_recorder"):
         blob = metrics.result["flight_blob"]
@@ -119,8 +118,7 @@ def _job_replay(params: Dict[str, Any]) -> Dict[str, Any]:
     spec = get_app(params["app"])
     trace = _load_trace(params, salvage=bool(params.get("salvage", False)))
     time_warp = False if params.get("no_time_warp") else None
-    metrics = replay_run(spec, trace, time_warp=time_warp,
-                         scheduler=params.get("scheduler"))
+    metrics = replay_run(spec, trace, time_warp=time_warp)
     validation = metrics.result["validation"]
     report = compare_traces(trace, validation)
     out: Dict[str, Any] = {
@@ -142,10 +140,9 @@ def _job_divergence(params: Dict[str, Any]) -> Dict[str, Any]:
     spec = get_app(params["app"])
     metrics = record_run(spec, _record_config(params),
                          seed=int(params.get("seed", 0)),
-                         scale=params.get("scale"),
-                         scheduler=params.get("scheduler"))
+                         scale=params.get("scale"))
     trace = metrics.result["trace"]
-    replay = replay_run(spec, trace, scheduler=params.get("scheduler"))
+    replay = replay_run(spec, trace)
     validation = replay.result["validation"]
     report = compare_traces(trace, validation)
     out: Dict[str, Any] = {
@@ -182,7 +179,6 @@ def _job_campaign(params: Dict[str, Any]) -> Dict[str, Any]:
         n_faults=int(params.get("n_faults", 200)),
         seed=int(params.get("seed", 0)),
         crash_app=params.get("crash_app", "dram_dma"),
-        scheduler=params.get("scheduler"),
         batch_size=params.get("batch_size"),
         flight_recorder=params.get("flight_recorder"),
         warm_pool=False,   # already inside a pool worker: no nesting
@@ -230,8 +226,8 @@ def job_affinity(kind: str, params: Dict[str, Any]) -> Optional[Tuple]:
     """Topology-affinity key for warm-pool routing.
 
     Mirrors :func:`repro.harness.worker_pool.cell_affinity`: everything
-    that feeds the compiled-schedule key — app, scale, scheduler, flight
-    mode — without per-job noise like seeds, so jobs that share a kernel
+    that feeds the compiled-schedule key — app, scale, flight mode —
+    without per-job noise like seeds, so jobs that share a kernel
     land on a worker that has already bound it.
     """
     params = params or {}
@@ -239,5 +235,4 @@ def job_affinity(kind: str, params: Dict[str, Any]) -> Optional[Tuple]:
         return None    # pure parsing, no kernel to share
     return ("job", kind if kind != "divergence" else "record",
             params.get("app", "sha256"), params.get("scale"),
-            params.get("scheduler"),
             bool(params.get("flight_recorder")))

@@ -59,7 +59,7 @@ def build_record_deployment(
         spec: AppSpec, config: VidiConfig, seed: int,
         scale: Optional[float] = None,
         env_mode: EnvironmentMode = EnvironmentMode.HARDWARE,
-        scheduler: Optional[str] = None,
+        scheduler: str = "compiled",
 ) -> tuple:
     """Assemble one record-mode deployment; returns (deployment, result, config).
 
@@ -125,7 +125,7 @@ def record_run(spec: AppSpec, config: VidiConfig, seed: int,
                check: bool = True,
                profile: bool = False,
                before_run: Optional[Callable[[F1Deployment], None]] = None,
-               scheduler: Optional[str] = None) -> RunMetrics:
+               scheduler: str = "compiled") -> RunMetrics:
     """Run one application under R1 or R2 and collect metrics.
 
     Under R2 the recorded trace is attached as ``metrics.result['trace']``.
@@ -133,9 +133,8 @@ def record_run(spec: AppSpec, config: VidiConfig, seed: int,
     comb/seq wall-clock shares, attached as ``result['kernel_profile']``.
     ``before_run`` is called with the fully assembled deployment right
     before it starts running — the hook point checkpoint collection uses.
-    ``scheduler`` picks the simulation kernel (``event``/``fixpoint``/
-    ``compiled``); ``None`` defers to ``REPRO_SIM_SCHEDULER`` and then the
-    :class:`~repro.sim.simulator.Simulator` class default.
+    ``scheduler="fixpoint"`` runs the reference oracle kernel instead of
+    the production ``compiled`` one (differential tests).
     """
     deployment, result, config = build_record_deployment(
         spec, config, seed, scale=scale, env_mode=env_mode,
@@ -178,14 +177,14 @@ def replay_run(spec: AppSpec, trace: TraceFile,
                config: Optional[VidiConfig] = None,
                max_cycles: int = 4_000_000,
                time_warp: Optional[bool] = None,
-               scheduler: Optional[str] = None) -> RunMetrics:
+               scheduler: str = "compiled") -> RunMetrics:
     """Replay a trace against a fresh deployment; returns metrics with the
     validation trace attached as ``result['validation']``.
 
     ``time_warp`` selects the kernel's quiescent-gap skipping (default: on;
     pass ``False`` for the per-cycle reference path the equivalence tests
-    and the replay benchmark compare against). ``scheduler`` picks the
-    simulation kernel, deferring to ``REPRO_SIM_SCHEDULER`` when ``None``.
+    and the replay benchmark compare against). ``scheduler`` is as for
+    :func:`record_run`.
     """
     acc_factory, _host = spec.make()
     replay_config = config or VidiConfig.r3(
@@ -281,7 +280,6 @@ class SweepCell:
     seed: int
     scale: Optional[float] = None
     patched_dma: bool = False      # the §3.6 interrupt-patched DRAM DMA
-    scheduler: Optional[str] = None  # simulation kernel for the worker
     flight_recorder: bool = False  # r2 with the always-on ring store
 
 
@@ -309,8 +307,7 @@ def _cell_config(cell: SweepCell) -> VidiConfig:
 def run_record_cell(cell: SweepCell) -> dict:
     """Worker: one record run; returns a picklable metrics dict."""
     metrics = record_run(_cell_spec(cell), _cell_config(cell),
-                         seed=cell.seed, scale=cell.scale,
-                         scheduler=cell.scheduler)
+                         seed=cell.seed, scale=cell.scale)
     out = {
         "app": cell.app,
         "config": cell.config,
@@ -334,9 +331,9 @@ def run_divergence_cell(cell: SweepCell) -> dict:
 
     spec = _cell_spec(cell)
     metrics = record_run(spec, _cell_config(cell), seed=cell.seed,
-                         scale=cell.scale, scheduler=cell.scheduler)
+                         scale=cell.scale)
     trace = metrics.result["trace"]
-    replay = replay_run(spec, trace, scheduler=cell.scheduler)
+    replay = replay_run(spec, trace)
     report = compare_traces(trace, replay.result["validation"])
     return {
         "app": cell.app,

@@ -61,7 +61,6 @@ def record_with_checkpoints(spec: AppSpec, config: Optional[VidiConfig] = None,
                             seed: int = 0, scale: Optional[float] = None,
                             max_cycles: int = 4_000_000,
                             stride: int = CHECKPOINT_STRIDE,
-                            scheduler: Optional[str] = None,
                             ) -> Tuple[RunMetrics, Dict[int, Checkpoint]]:
     """Record one run under R2 while harvesting quiescent checkpoints.
 
@@ -100,8 +99,7 @@ def record_with_checkpoints(spec: AppSpec, config: Optional[VidiConfig] = None,
 
     config = config or bench_config(VidiConfig.r2)
     metrics = record_run(spec, config, seed=seed, scale=scale,
-                         max_cycles=max_cycles, before_run=install_hook,
-                         scheduler=scheduler)
+                         max_cycles=max_cycles, before_run=install_hook)
     return metrics, checkpoints
 
 
@@ -145,7 +143,6 @@ class ReplayShardCell:
     checkpoint: Optional[Checkpoint]  # None: segment starts from power-on
     time_warp: Optional[bool] = None
     max_cycles: int = 4_000_000
-    scheduler: Optional[str] = None   # simulation kernel for the worker
 
 
 def _build_shard_deployment(cell: ReplayShardCell) -> F1Deployment:
@@ -158,8 +155,7 @@ def _build_shard_deployment(cell: ReplayShardCell) -> F1Deployment:
     config = VidiConfig.r3(interfaces=trace_interfaces(segment))
     deployment = F1Deployment(f"shard_{spec.key}_{cell.start}", acc_factory,
                               config, replay_trace=segment,
-                              time_warp=cell.time_warp,
-                              scheduler=cell.scheduler)
+                              time_warp=cell.time_warp)
     if cell.checkpoint is not None:
         restore_checkpoint(deployment, cell.checkpoint, restore_host=False)
     return deployment
@@ -251,7 +247,6 @@ def replay_sharded(spec: AppSpec, trace: TraceFile,
                    max_cycles: int = 4_000_000,
                    retries: int = 2,
                    injector=None,
-                   scheduler: Optional[str] = None,
                    batched: bool = False,
                    warm_pool: bool = False,
                    cache_dir: Optional[str] = None) -> ShardedReplayResult:
@@ -297,8 +292,7 @@ def replay_sharded(spec: AppSpec, trace: TraceFile,
                         body=bytes(index.slice(start, stop)),
                         with_validation=trace.with_validation,
                         start=start, stop=stop, checkpoint=checkpoint,
-                        time_warp=time_warp, max_cycles=max_cycles,
-                        scheduler=scheduler)
+                        time_warp=time_warp, max_cycles=max_cycles)
         for start, stop, checkpoint in plan
     ]
     if batched:

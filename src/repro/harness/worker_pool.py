@@ -229,8 +229,7 @@ def cell_affinity(cell: object) -> tuple:
     a compiled schedule hash to the same warm worker. Unknown cell types
     degrade to their class name (still deterministic, never wrong).
     """
-    fields = ("app", "config", "scale", "patched_dma", "scheduler",
-              "flight_recorder")
+    fields = ("app", "config", "scale", "patched_dma", "flight_recorder")
     return (type(cell).__name__,) + tuple(
         getattr(cell, f, None) for f in fields)
 

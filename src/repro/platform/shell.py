@@ -53,7 +53,7 @@ class F1Deployment:
                  host_latency: int = 6, host_jitter: int = 4,
                  think_jitter: int = 3, with_ddr4: bool = False,
                  with_axis: bool = False,
-                 scheduler: Optional[str] = None,
+                 scheduler: str = "compiled",
                  time_warp: Optional[bool] = None):
         self.name = name
         self.config = config
@@ -155,7 +155,7 @@ class F1Deployment:
         regardless of how often anchoring succeeds.
 
         The probe is *not* installed as a per-cycle hook: cycle hooks cost
-        a Python call on every simulated cycle and disable the schedulers'
+        a Python call on every simulated cycle and disable the kernel's
         quiet-gap warping. :meth:`run_to_completion` instead runs the sim
         in stride-aligned chunks and probes between them — the probed
         cycles (and hence the anchor placement) are identical to what a

@@ -16,13 +16,16 @@ deterministic from the submission order:
   stuck behind them inside an executor).
 
 Every finished job's result (or error) is appended to the persistent
-results store, so verdicts survive the daemon.
+results store, so verdicts survive the daemon. Jobs carry wall-clock
+(``time.time()``) stamps of their submission, dispatch to the pool and
+completion.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
+import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -101,8 +104,7 @@ class JobQueue:
 
     # ------------------------------------------------------------------
     def submit(self, kind: str, params: Optional[Dict[str, Any]] = None,
-               priority: int = DEFAULT_PRIORITY,
-               t: float = 0.0) -> str:
+               priority: int = DEFAULT_PRIORITY) -> str:
         if kind not in JOB_KINDS:
             raise ValueError(f"unknown job kind {kind!r} "
                              f"(expected one of {', '.join(JOB_KINDS)})")
@@ -112,7 +114,7 @@ class JobQueue:
             self._seq += 1
             job = Job(id=f"job-{self._seq:06d}", kind=kind,
                       params=dict(params or {}), priority=int(priority),
-                      seq=self._seq, submitted_t=t)
+                      seq=self._seq, submitted_t=time.time())
             self._jobs[job.id] = job
             heapq.heappush(self._heap, _HeapEntry(job.priority, job.seq, job))
             self._cond.notify_all()
@@ -130,6 +132,7 @@ class JobQueue:
                         return
                 job = heapq.heappop(self._heap).job
                 job.state = "running"
+                job.started_t = time.time()
                 self._inflight += 1
             self._dispatch(job)
 
@@ -159,6 +162,7 @@ class JobQueue:
             job.result = result
             job.error = error
             job.state = "done" if error is None else "failed"
+            job.finished_t = time.time()
             self._inflight -= 1
             if error is None:
                 self.completed += 1

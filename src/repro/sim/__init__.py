@@ -1,7 +1,7 @@
 """Cycle-accurate simulation kernel: the reproduction's hardware substrate.
 
 This subpackage stands in for the FPGA silicon and vendor simulators used by
-the paper. It provides a single-clock, delta-cycle synchronous simulator
+the paper. It provides a single-clock synchronous simulator
 (:class:`Simulator`), hardware modules (:class:`Module`), signals
 (:class:`Signal`), memory primitives, FIFOs (including the buggy frame FIFO
 of the debugging case study) and waveform capture.

@@ -105,8 +105,8 @@ class BatchKernel:
                 sim.elaborate()
             if sim.scheduler == "fixpoint":
                 raise SimulationError(
-                    "BatchKernel requires an event-style elaboration "
-                    "(scheduler 'event' or 'compiled')")
+                    "BatchKernel requires the compiled kernel's "
+                    "elaboration, not scheduler 'fixpoint'")
         key0 = schedule_key(sims[0])
         if key0 is None:
             raise SimulationError(

@@ -1,7 +1,7 @@
 """Compiled netlist kernel: levelized static scheduling + generated step.
 
-The ``"compiled"`` scheduler turns the declared sensitivity graph that the
-event kernel interprets at runtime into a *schedule computed once at
+The ``"compiled"`` kernel — the simulator's production kernel — turns
+the declared sensitivity graph into a *schedule computed once at
 elaboration*, the way Verilator levelizes a netlist:
 
 1. **Levelization** (:func:`levelize`). Every declared comb module is a
@@ -12,8 +12,8 @@ elaboration*, the way Verilator levelizes a netlist:
    path from the sources (their *level*), while every true combinational
    cycle — a multi-module SCC or a self-loop — is demoted, alone, to
    iterative settling at its level. Modules that declared no sensitivity
-   at all stay on the every-pass fallback, exactly as under the event
-   kernel.
+   at all stay on the every-pass fallback, exactly as under the fixpoint
+   reference kernel.
 
 2. **Code generation** (:func:`compile_kernel`). From the schedule we
    assemble the source of one fused per-cycle ``step`` function and
@@ -28,8 +28,7 @@ elaboration*, the way Verilator levelizes a netlist:
    when it implements :meth:`~repro.sim.module.Module.seq_inline_source`
    (the replay-datapath inlining) — an inlined register commit
    replicating ``Signal._commit``, and the quiescent / time-warp fast
-   paths of the event kernel (the warp block is emitted only for
-   warp-eligible designs).
+   paths (the warp block is emitted only for warp-eligible designs).
 
 3. **Schedule caching**. Campaigns and sweeps build many structurally
    identical deployments that differ only by seed or fault plan. The
@@ -42,7 +41,7 @@ elaboration*, the way Verilator levelizes a netlist:
    recipe* and ``exec``\\ s it — microseconds instead of milliseconds.
 
 Correctness story: ``comb()`` processes are required to be idempotent and
-confluent (the contract the event/fixpoint differential tests already
+confluent (the contract the compiled-vs-fixpoint differential tests
 enforce), so evaluation *order* only affects how many delta passes are
 needed, never the fixpoint reached. The generated settle still iterates
 until the work-list drains, so even a wrong rank assignment (missing
@@ -749,7 +748,11 @@ def compile_kernel(sim) -> CompiledKernel:
         recipe["_nws"] = ("nws",)
         ns["_whooks"] = tuple(sim._warp_hooks)
         recipe["_whooks"] = ("whooks",)
-        emit("        if S._quiet_streak and not _hooks:")
+        # _quiet_streak: 0 after a cycle that settled or committed, 1 on
+        # a quiet streak, 2 once a poll found every module idle (no finite
+        # hint) — polling again before something moves cannot find one,
+        # so the streak ticks on without re-polling.
+        emit("        if S._quiet_streak == 1 and not _hooks:")
         emit("            cyc = S.cycle")
         emit("            target = None")
         emit("            for nw in _nws:")
@@ -761,6 +764,9 @@ def compile_kernel(sim) -> CompiledKernel:
         emit("                    break")
         emit("                if target is None or hint < target:")
         emit("                    target = hint")
+        emit("            else:")
+        emit("                if target is None:")
+        emit("                    S._quiet_streak = 2")
         emit("            if target is not None:")
         emit("                if warp_limit is not None and "
              "target > warp_limit - 1:")
@@ -833,7 +839,13 @@ def compile_kernel(sim) -> CompiledKernel:
     emit("        staged.clear()")
     emit("    else:")
     emit("        committed = False")
-    emit("    S._quiet_streak = not settled and not committed")
+    if sim._warp_ok:
+        emit("    if settled or committed:")
+        emit("        S._quiet_streak = 0")
+        emit("    elif not S._quiet_streak:")
+        emit("        S._quiet_streak = 1")
+    else:
+        emit("    S._quiet_streak = not settled and not committed")
     emit("    S.cycle += 1")
     emit("    if _hooks:")
     emit("        cyc = S.cycle")
@@ -948,7 +960,7 @@ def _plane(addr: tuple, sims) -> object:
 def compile_batch(sims, D, E, inf: int) -> BatchProgram:
     """Generate the shared phase functions for a batch of simulators.
 
-    ``sims`` must all be elaborated under an event-style scheduler and
+    ``sims`` must all be elaborated under the compiled kernel and
     have equal, non-``None`` :func:`schedule_key` (the caller checks —
     mismatching instances are demoted to scalar stepping before packing).
     ``D``/``E`` are the batch's ``(slots, N)`` int64 due-cycle and

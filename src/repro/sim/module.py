@@ -16,12 +16,12 @@ Set ``has_comb = False`` on subclasses with no combinational process; the
 simulator then skips them during delta iteration, which is a significant
 speedup for large designs.
 
-Scheduling declarations (event-driven kernel)
----------------------------------------------
+Scheduling declarations (compiled kernel)
+-----------------------------------------
 
 By default a module's ``comb()`` is assumed to depend on *anything* — the
 simulator's safe fallback re-runs it on every delta pass of every cycle,
-exactly like the original fixpoint kernel. Modules opt in to event-driven
+exactly like the fixpoint reference kernel. Modules opt in to work-list
 scheduling by declaring what their combinational process reads:
 
 * ``self.sensitive_to(sig, ...)`` — register the input signals ``comb()``
@@ -42,10 +42,10 @@ A module that declares sensitivity but reads an undeclared signal in
 ``comb()`` will compute stale outputs — the differential harness in
 ``tests/test_scheduler_equivalence.py`` exists to catch exactly that.
 
-Static-scheduling declarations (compiled kernel)
-------------------------------------------------
+Static-scheduling declarations
+------------------------------
 
-The ``"compiled"`` scheduler levelizes the declared sensitivity graph at
+The compiled kernel levelizes the declared sensitivity graph at
 elaboration time and generates a fused per-cycle step function
 (:mod:`repro.sim.compile`). Two further declarations feed that pass; both
 are optional and purely performance hints — undeclared modules stay
@@ -70,13 +70,15 @@ correct, they just get the conservative treatment:
     (version-cache idioms).
 
   Declaring a condition that can be true while ``seq()`` still has work
-  is a correctness bug — exactly the class of error the 3-way
-  differential harness exists to catch.
+  is a correctness bug — exactly the class of error the compiled-vs-
+  fixpoint differential harness exists to catch. A guard describes one
+  specific ``seq()``: a base class must not hand its guard to a subclass
+  that overrides ``seq()`` with work of its own.
 
 Time-warp declarations (quiescent-gap skipping)
 -----------------------------------------------
 
-On cycles where the comb work-list is empty the event kernel can go one
+On cycles where the comb work-list is empty the compiled kernel can go one
 step further than skipping settling: it can skip the cycle *entirely* —
 provided every sequential process agrees it has nothing to do. Modules
 with a ``seq()`` opt in by overriding :meth:`next_wake`:
@@ -166,8 +168,8 @@ class Module:
         self._seq_idle: Optional[List[tuple]] = None
         self._sim = None
         # True while the module sits on the simulator's comb work-list.
-        # The event scheduler clears it as it evaluates; the fixpoint
-        # scheduler (and undeclared/always modules) pin it True so that
+        # The compiled kernel clears it as it evaluates; the fixpoint
+        # kernel (and undeclared/always modules) pin it True so that
         # wake() and signal fanout stay no-ops for them.
         self._comb_scheduled = False
         self._order = 0   # elaboration index; stabilizes evaluation order
@@ -202,7 +204,7 @@ class Module:
         """Declare the signals this module's ``comb()`` reads.
 
         May be called several times (each call appends). Declaring an empty
-        sensitivity set is meaningful: it opts the module into event-driven
+        sensitivity set is meaningful: it opts the module into work-list
         scheduling with ``wake()`` as its only trigger.
         """
         if self._sensitivity is None:
@@ -212,7 +214,7 @@ class Module:
     def drives(self, *signals: Signal) -> None:
         """Declare the signals this module's ``comb()`` drives.
 
-        Consumed by the compiled scheduler's levelization pass; see the
+        Consumed by the compiled kernel's levelization pass; see the
         module docstring. May be called several times (each call appends).
         """
         if self._drives is None:

@@ -16,10 +16,10 @@ via :class:`~repro.sim.module.Module`) before the first ``step``.
 
 Scheduling: every signal carries a *fanout* list — the modules that declared
 combinational sensitivity to it via
-:meth:`~repro.sim.module.Module.sensitive_to`. Under the event-driven
-scheduler a value change enqueues exactly those modules onto the
-simulator's work-list; under the legacy fixpoint scheduler the fanout lists
-stay empty and only the global dirty flag is raised.
+:meth:`~repro.sim.module.Module.sensitive_to`. Under the compiled kernel
+a value change enqueues exactly those modules onto the simulator's
+work-list; under the fixpoint reference kernel the fanout lists stay empty
+and only the global dirty flag is raised.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class Signal:
         self._next: Optional[int] = None
         self._sim = None
         # Modules combinationally sensitive to this signal. Populated at
-        # elaboration by the event-driven scheduler; empty under the legacy
-        # fixpoint scheduler, which keeps drive() on its original fast path.
+        # elaboration by the compiled kernel; empty under the fixpoint
+        # reference kernel, which keeps drive() on its original fast path.
         self._fanout: list = []
         # Sequential-wake callbacks (batched backend): fired on any visible
         # value change so guard-idle modules watching this signal come due.
@@ -114,9 +114,9 @@ class Signal:
     def drive(self, value: int) -> None:
         """Combinational drive: the value becomes visible immediately.
 
-        On a value change the simulator is marked dirty (legacy scheduler)
-        and every module in this signal's fanout is enqueued for
-        re-evaluation (event-driven scheduler).
+        On a value change the simulator is marked dirty (the fixpoint
+        kernel's settle test) and every module in this signal's fanout is
+        enqueued for re-evaluation (the compiled kernel's work-list).
         """
         value &= self._mask
         if value != self._value:

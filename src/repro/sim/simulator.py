@@ -1,4 +1,4 @@
-"""The delta-cycle synchronous simulator.
+"""The synchronous cycle simulator.
 
 Each call to :meth:`Simulator.step` simulates one clock cycle:
 
@@ -10,47 +10,42 @@ Each call to :meth:`Simulator.step` simulates one clock cycle:
 3. **Commit.** All values staged with ``Signal.set_next`` become visible
    simultaneously, emulating a single rising clock edge.
 
-Two interchangeable settling schedulers implement phase 1:
+One production kernel implements the cycle, with one reference oracle:
 
-* ``"event"`` (the default) — sensitivity-driven. At elaboration every
+* ``"compiled"`` (the default) — static scheduling. At elaboration every
   signal gets a fanout list of the modules that declared
-  :meth:`~repro.sim.module.Module.sensitive_to` it; a value change enqueues
-  exactly those modules onto a work-list, so each delta pass re-evaluates
-  only modules whose inputs changed. Modules that declared no sensitivity
-  fall back to every-pass evaluation (always safe). Cycles on which the
+  :meth:`~repro.sim.module.Module.sensitive_to` it; a value change puts
+  exactly those modules on a work-list. At the first ``step()`` the declared
+  sensitivity graph is levelized (:mod:`repro.sim.compile`) — comb modules
+  topologically ranked by their ``drives()`` → ``sensitive_to()`` edges,
+  true combinational cycles demoted to iterative settling, modules without
+  declared sensitivity evaluated on every pass — and a fused per-cycle step
+  function is generated (``exec`` of assembled source): rank-ordered
+  settling of the work-list, sequential calls inlined straight-line with
+  ``seq_idle_when`` guards, and an inlined commit. Cycles on which the
   work-list is empty — no external input, no changed register commit, no
   ``wake()`` from a host-side event — skip settling entirely (the
   *quiescent-cycle fast path*, common in polling-host applications).
-* ``"fixpoint"`` — the original kernel: every ``comb()`` on every pass
-  until a pass changes nothing. Kept as the reference implementation; the
-  differential harness in ``tests/test_scheduler_equivalence.py`` checks
-  the schedulers produce bit-identical per-cycle signal histories.
-* ``"compiled"`` — static scheduling. At the first ``step()`` the declared
-  sensitivity graph is levelized (:mod:`repro.sim.compile`) — comb modules
-  topologically ranked by their ``drives()`` → ``sensitive_to()`` edges,
-  true combinational cycles demoted to iterative settling — and a fused
-  per-cycle step function is generated (``exec`` of assembled source):
-  rank-ordered settling, sequential calls inlined straight-line with
-  ``seq_idle_when`` guards, inlined commit, and the same quiescent /
-  time-warp fast paths. Bit-identical to the other two kernels, faster on
-  designs with declared scheduling.
+* ``"fixpoint"`` — the reference oracle: every ``comb()`` on every pass
+  until a pass changes nothing, then every ``seq()``. It takes no
+  scheduling declaration into account, so the differential harness in
+  ``tests/test_scheduler_equivalence.py`` runs every application under
+  both kernels and checks bit-identical per-cycle signal histories.
 
-Select with the ``scheduler=`` argument, the ``REPRO_SIM_SCHEDULER``
-environment variable, or the ``Simulator.DEFAULT_SCHEDULER`` class
-attribute (argument > environment > class default).
+Select with the ``scheduler=`` argument.
 
 Time-warping (quiescent-gap skipping)
 -------------------------------------
 
-The event kernel's quiescent fast path still pays one Python iteration per
-simulated cycle. When every sequential module implements
-:meth:`~repro.sim.module.Module.next_wake` the kernel can do better:
-on a cycle that (a) has an empty work-list, (b) follows a *fully quiet*
-cycle — no settling, no register commits — and (c) has no cycle hooks
-registered, it polls every sequential module for the earliest cycle its
-``seq()`` could matter. If the earliest finite answer lies in the future,
-the cycle counter jumps straight there (``warped_cycles``/``warp_jumps``
-count the savings) after giving each module an
+The quiescent fast path still pays one executed step per simulated cycle.
+When every sequential module implements
+:meth:`~repro.sim.module.Module.next_wake` the compiled kernel can do
+better: on a cycle that (a) has an empty work-list, (b) follows a *fully
+quiet* cycle — no settling, no register commits — and (c) has no cycle
+hooks registered, it polls every sequential module for the earliest cycle
+its ``seq()`` could matter. If the earliest finite answer lies in the
+future, the cycle counter jumps straight there (``warped_cycles``/
+``warp_jumps`` count the savings) after giving each module an
 :meth:`~repro.sim.module.Module.on_warp` catch-up call. The skipped
 cycles are provably no-ops: nothing combinational was pending, nothing
 was committed the cycle before, and every sequential process declared
@@ -58,7 +53,8 @@ itself idle until the warp target.
 
 If *no* module reports a finite wake the kernel ticks normally — a fully
 idle design still advances one cycle per step, so the
-:class:`~repro.errors.WatchdogTimeout` deadlock detector keeps working.
+:class:`~repro.errors.WatchdogTimeout` deadlock detector keeps working —
+and does not poll again until a cycle settles or commits something.
 Disable warping with ``time_warp=False`` or ``REPRO_SIM_TIMEWARP=0``
 (the differential tests replay both ways and compare bit-for-bit).
 
@@ -77,20 +73,15 @@ from repro.errors import CombinationalLoopError, SimulationError, WatchdogTimeou
 from repro.sim.module import Module
 from repro.sim.signal import Signal
 
-_SCHEDULERS = ("event", "fixpoint", "compiled")
+_SCHEDULERS = ("compiled", "fixpoint")
 
 
 class Simulator:
     """Owns a flattened set of modules and advances them cycle by cycle."""
 
-    DEFAULT_SCHEDULER = "event"
-
     def __init__(self, name: str = "sim", max_delta: int = 64,
-                 scheduler: Optional[str] = None,
+                 scheduler: str = "compiled",
                  time_warp: Optional[bool] = None):
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SIM_SCHEDULER") \
-                or self.DEFAULT_SCHEDULER
         if scheduler not in _SCHEDULERS:
             raise SimulationError(
                 f"unknown scheduler {scheduler!r}; expected one of {_SCHEDULERS}")
@@ -107,18 +98,19 @@ class Simulator:
         self._always_comb: List[Module] = []    # no sensitivity: every pass
         self._dynamic_comb: List[Module] = []   # declared, auto-woken per cycle
         self._event_comb: List[Module] = []     # all declared comb modules
-        self._pending: List[Module] = []        # the scheduler's work-list
+        self._pending: List[Module] = []        # the comb work-list
         self._staged: List[Signal] = []
         self._dirty = False
         self._elaborated = False
-        self._event_mode = scheduler == "event"
         self._compiled = None   # CompiledKernel, built lazily at first step
         self._cycle_hooks: List[Callable[[int], None]] = []
         self._profile: Optional[Dict[str, list]] = None
         # Time-warp state: _warp_ok is frozen at elaboration (every seq
         # module must override next_wake); _quiet_streak records that the
         # previous executed cycle neither settled nor committed anything,
-        # which makes the *current* empty work-list trustworthy for warping.
+        # which makes the *current* empty work-list trustworthy for warping
+        # (the compiled kernel uses 2 for "quiet, and the last poll found
+        # every module idle").
         self._warp_ok = False
         self._warp_hooks: List[Module] = []
         self._quiet_streak = False
@@ -179,7 +171,7 @@ class Simulator:
                 module._comb_scheduled = True
             self._elaborated = True
             return
-        # Event-driven kernel. Default-comb (no-op) modules never need
+        # Compiled kernel. Default-comb (no-op) modules never need
         # evaluation; undeclared real-comb modules go to the always list.
         self._comb_modules = [
             m for m in self.modules
@@ -224,102 +216,18 @@ class Simulator:
         ``warp_limit`` caps the jump so that ``run(n)`` never overshoots its
         window; the executed cycle always lies strictly below the limit.
         """
-        if not self._elaborated:
-            self.elaborate()
-        if not self._event_mode:
-            if self.scheduler == "compiled":
-                kernel = self._compiled
-                if kernel is None:
-                    kernel = self._compile()
-                kernel.step(warp_limit)
-            else:
-                self._step_fixpoint()
+        if self.scheduler == "fixpoint":
+            if not self._elaborated:
+                self.elaborate()
+            self._step_fixpoint()
             return
-        # --- combinational settling (event-driven) ---
-        pending = self._pending
-        if self._dynamic_comb:
-            for module in self._dynamic_comb:
-                if not module._comb_scheduled:
-                    module._comb_scheduled = True
-                    pending.append(module)
-        if pending or self._always_comb:
-            self._settle()
-            settled = True
-        else:
-            self.quiescent_cycles += 1
-            settled = False
-            # --- time warp ---
-            # Only when the previous executed cycle was fully quiet: that
-            # one executed cycle gives polling seq() processes a chance to
-            # observe commits and shared-Python-state changes (coordinator
-            # bumps, queue appends) the hints cannot see.
-            if self._warp_ok and self._quiet_streak and not self._cycle_hooks:
-                cycle = self.cycle
-                target: Optional[int] = None
-                for module in self._seq_modules:
-                    hint = module.next_wake(cycle)
-                    if hint is None:
-                        continue
-                    if hint <= cycle:
-                        target = None
-                        break
-                    if target is None or hint < target:
-                        target = hint
-                if target is not None:
-                    if warp_limit is not None and target > warp_limit - 1:
-                        target = warp_limit - 1
-                    gap = target - cycle
-                    if gap > 0:
-                        self.cycle = target
-                        self.warped_cycles += gap
-                        self.warp_jumps += 1
-                        for module in self._warp_hooks:
-                            module.on_warp(gap)
-        # --- sequential phase ---
-        for module in self._seq_modules:
-            module.seq()
-        # --- commit ---
-        staged = self._staged
-        if staged:
-            committed = True
-            for sig in staged:
-                sig._commit()
-            staged.clear()
-        else:
-            committed = False
-        self._quiet_streak = not settled and not committed
-        self.cycle += 1
-        for hook in self._cycle_hooks:
-            hook(self.cycle)
-
-    def _settle(self) -> None:
-        """Run delta passes until the work-list drains and always-modules
-        stop changing signals."""
-        always = self._always_comb
-        for _ in range(self.max_delta):
-            batch = self._pending
-            self._pending = []
-            self._dirty = False
-            if batch:
-                if len(batch) > 1:
-                    # Evaluate in elaboration order, like the fixpoint loop.
-                    batch.sort(key=_order_key)
-                for module in batch:
-                    module._comb_scheduled = False
-                    module.comb()
-                self.comb_evals += len(batch)
-            for module in always:
-                module.comb()
-            self.comb_evals += len(always)
-            if not self._pending and not (always and self._dirty):
-                return
-        raise CombinationalLoopError(
-            f"{self.name}: combinational logic did not settle in "
-            f"{self.max_delta} delta passes at cycle {self.cycle}"
-        )
+        kernel = self._compiled
+        if kernel is None:
+            kernel = self._compile()
+        kernel.step(warp_limit)
 
     def _step_fixpoint(self) -> None:
-        """The original blanket fixpoint kernel (reference implementation)."""
+        """The blanket fixpoint kernel: the differential reference oracle."""
         comb_modules = self._comb_modules
         for _ in range(self.max_delta):
             self._dirty = False
@@ -352,6 +260,8 @@ class Simulator:
         after stepping invalidates the kernel and forces a recompile.
         """
         from repro.sim.compile import compile_kernel
+        if not self._elaborated:
+            self.elaborate()
         t0 = perf_counter()
         kernel = compile_kernel(self)
         self.compile_s += perf_counter() - t0
@@ -361,17 +271,15 @@ class Simulator:
     def _step_callable(self) -> Callable:
         """The per-cycle callable ``run``/``run_until`` should loop over.
 
-        For the compiled scheduler this is the generated step function
-        itself, skipping one dispatch layer per simulated cycle.
+        For the compiled kernel this is the generated step function itself,
+        skipping one dispatch layer per simulated cycle.
         """
-        if self.scheduler == "compiled":
-            if not self._elaborated:
-                self.elaborate()
-            kernel = self._compiled
-            if kernel is None:
-                kernel = self._compile()
-            return kernel.step
-        return self.step
+        if self.scheduler == "fixpoint":
+            return self.step
+        kernel = self._compiled
+        if kernel is None:
+            kernel = self._compile()
+        return kernel.step
 
     def run(self, cycles: int) -> None:
         """Simulate a fixed number of cycles (warp never overshoots the end)."""
@@ -492,10 +400,6 @@ class Simulator:
             })
         rows.sort(key=lambda r: r["total_s"], reverse=True)
         return rows
-
-
-def _order_key(module: Module) -> int:
-    return module._order
 
 
 def _timed(fn: Callable[[], None], cell: list, slot: int) -> Callable[[], None]:

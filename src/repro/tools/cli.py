@@ -305,7 +305,7 @@ def cmd_serve(args) -> int:
 def _job_params(args) -> dict:
     """Collect the submit subcommand's params into a job-params dict."""
     params = {}
-    for name in ("app", "seed", "scale", "scheduler", "trace_path",
+    for name in ("app", "seed", "scale", "trace_path",
                  "save_to", "n_faults", "crash_app", "batch_size",
                  "flight_recorder", "salvage"):
         value = getattr(args, name, None)
@@ -512,9 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--app", default=None)
     p_sub.add_argument("--seed", type=int, default=None)
     p_sub.add_argument("--scale", type=float, default=None)
-    p_sub.add_argument("--scheduler",
-                       choices=("event", "fixpoint", "compiled"),
-                       default=None)
     p_sub.add_argument("--trace-path", default=None, metavar="PATH",
                        help="trace file for replay/salvage jobs (must be "
                        "readable by the daemon)")

@@ -46,12 +46,12 @@ def _assert_metrics_equal(scalar, batched):
             == scalar.result["trace"].to_bytes())
 
 
-@pytest.mark.parametrize("scheduler", ["event", "fixpoint", "compiled"])
+@pytest.mark.parametrize("scheduler", ["fixpoint", "compiled"])
 @pytest.mark.parametrize("app", ["sha256", "mobilenet", "bnn"])
 def test_batched_record_matches_scalar(app, scheduler):
     """record_batch == N record_run calls, bit for bit, on every kernel.
 
-    ``fixpoint`` has no event-style elaboration to pack, so the runner
+    ``fixpoint`` has no compiled elaboration to pack, so the runner
     silently falls back to scalar — same contract, zero packed instances.
     """
     spec = get_app(app)
@@ -141,11 +141,9 @@ def test_record_batch_error_containment():
 
 def test_run_record_cells_matches_scalar_worker():
     """Batched sweep cells return the scalar worker's dicts, in order."""
-    cells = [SweepCell(app="sha256", config="r2", seed=s,
-                       scheduler="compiled") for s in SEEDS]
+    cells = [SweepCell(app="sha256", config="r2", seed=s) for s in SEEDS]
     # A shape-mismatched straggler exercises the grouping.
-    cells.append(SweepCell(app="bnn", config="r2", seed=0,
-                           scheduler="compiled"))
+    cells.append(SweepCell(app="bnn", config="r2", seed=0))
     scalar = [run_record_cell(cell) for cell in cells]
     batched = run_record_cells_batched(cells)
     assert batched == scalar
@@ -174,13 +172,11 @@ def test_batched_campaign_matches_scalar_verdicts():
 def test_batched_sharded_replay_matches_inline():
     """Batched segment replay stitches the exact scalar validation trace."""
     spec = get_app("sha256")
-    metrics, checkpoints = record_with_checkpoints(spec, seed=3,
-                                                   scheduler="compiled")
+    metrics, checkpoints = record_with_checkpoints(spec, seed=3)
     trace = metrics.result["trace"]
-    reference = replay_sharded(spec, trace, checkpoints, segments=4,
-                               jobs=1, scheduler="compiled")
+    reference = replay_sharded(spec, trace, checkpoints, segments=4, jobs=1)
     batched = replay_sharded(spec, trace, checkpoints, segments=4,
-                             batched=True, scheduler="compiled")
+                             batched=True)
     assert bytes(batched.validation.body) == bytes(reference.validation.body)
     assert ([s["cycles"] for s in batched.shards]
             == [s["cycles"] for s in reference.shards])
@@ -192,8 +188,7 @@ def test_batched_sharded_replay_refuses_crash_injection():
     from repro.faults.injector import FaultInjector, FaultPlan
 
     spec = get_app("sha256")
-    metrics, checkpoints = record_with_checkpoints(spec, seed=3,
-                                                   scheduler="compiled")
+    metrics, checkpoints = record_with_checkpoints(spec, seed=3)
     trace = metrics.result["trace"]
     injector = FaultInjector(FaultPlan.parse("worker-crash:crashes=1"))
     with pytest.raises(ConfigError):

@@ -1,4 +1,4 @@
-"""Unit tests for the compiled scheduler's levelization and code generation.
+"""Unit tests for the compiled kernel's levelization and code generation.
 
 The app-level differential harness (``tests/test_scheduler_equivalence.py``)
 proves the compiled kernel bit-identical on whole deployments; these tests
@@ -99,7 +99,7 @@ class SelfRamp(Module):
 
 class Undeclared(Module):
     """Real comb process with no sensitivity declaration at all — must get
-    the conservative every-pass treatment under every scheduler."""
+    the conservative every-pass treatment under both kernels."""
 
     def __init__(self, name, src):
         super().__init__(name)
@@ -201,7 +201,7 @@ class TestLevelize:
         sim.run(3)
         assert u.out.value == 6
         # Always-fallback modules force settling every cycle: the quiescent
-        # fast path must stay off, exactly as under the event kernel.
+        # fast path must stay off.
         assert sim.quiescent_cycles == 0
         # A value change still propagates through the fallback evaluation.
         a.set(8)
@@ -296,9 +296,9 @@ class TestResetAndCampaign:
         sim.run(5)
         assert sum(sim.rank_evals) == sim.comb_evals
 
-    def test_event_scheduler_reset_zeroes_counters_too(self):
+    def test_fixpoint_scheduler_reset_zeroes_counters_too(self):
         a = Const("a")
-        sim = Simulator("e", scheduler="event")
+        sim = Simulator("f", scheduler="fixpoint")
         sim.add(a)
         sim.run(5)
         assert sim.comb_evals > 0
@@ -307,8 +307,7 @@ class TestResetAndCampaign:
                 sim.warped_cycles, sim.warp_jumps) == (0, 0, 0, 0)
 
     def test_fault_campaign_smoke_on_compiled_kernel(self):
-        report = run_campaign(app="sha256", n_faults=6, seed=4,
-                              scheduler="compiled")
+        report = run_campaign(app="sha256", n_faults=6, seed=4)
         assert len(report.trials) == 6
         assert not report.silent_accepts
 
@@ -325,7 +324,7 @@ class TestReplayDatapathInlining:
         spec = get_app("sha256")
         acc_factory, host_factory = spec.make()
         recording = F1Deployment("inl_rec", acc_factory, VidiConfig.r2(),
-                                 seed=1, scheduler="compiled")
+                                 seed=1)
         recording.cpu.add_thread(host_factory({}, seed=1))
         recording.run_to_completion()
         return spec, recording.recorded_trace({"app": "sha256", "seed": 1})
@@ -340,7 +339,7 @@ class TestReplayDatapathInlining:
         return F1Deployment(
             "inl_rep", acc_factory,
             VidiConfig.r3(interfaces=trace_interfaces(trace)),
-            replay_trace=trace, scheduler="compiled")
+            replay_trace=trace)
 
     def test_replay_step_function_contains_inlined_walk(self):
         spec, trace = self._record_trace()

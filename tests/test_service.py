@@ -329,6 +329,21 @@ class TestJobQueue:
             queue.stop(drain=True, timeout=60.0)
             worker_pool.shutdown_pool()
 
+    def test_finished_job_carries_ordered_timestamps(self, tmp_path,
+                                                     small_trace):
+        worker_pool.shutdown_pool()
+        queue = JobQueue(jobs=1)
+        try:
+            job = queue.wait(queue.submit(
+                "salvage", {"trace_path": str(small_trace)}), timeout=300.0)
+            assert job.state == "done", job.error
+            assert 0 < job.submitted_t <= job.started_t <= job.finished_t
+            detail = job.detail()
+            assert detail["finished_t"] == job.finished_t
+        finally:
+            queue.stop(drain=True, timeout=60.0)
+            worker_pool.shutdown_pool()
+
     def test_rejects_unknown_kind_and_submit_after_stop(self, tmp_path):
         queue = JobQueue(jobs=1)
         with pytest.raises(ValueError, match="unknown job kind"):

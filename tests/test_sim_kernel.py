@@ -6,9 +6,9 @@ from repro.errors import CombinationalLoopError, SimulationError, WatchdogTimeou
 from repro.sim import Module, Signal, Simulator
 
 
-@pytest.fixture(params=["event", "fixpoint"])
+@pytest.fixture(params=["compiled", "fixpoint"])
 def scheduler(request):
-    """Run kernel-semantics tests under both settling schedulers."""
+    """Run kernel-semantics tests under the kernel and its oracle."""
     return request.param
 
 
@@ -236,28 +236,20 @@ class TestSimulatorControl:
 
 
 class TestSchedulerSelection:
-    def test_default_is_event(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_SCHEDULER", raising=False)
-        assert Simulator.DEFAULT_SCHEDULER == "event"
-        assert Simulator().scheduler == "event"
-
-    def test_environment_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "fixpoint")
-        assert Simulator().scheduler == "fixpoint"
-
-    def test_argument_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "fixpoint")
-        assert Simulator(scheduler="event").scheduler == "event"
+    def test_default_is_compiled(self):
+        assert Simulator().scheduler == "compiled"
+        assert Simulator(scheduler="fixpoint").scheduler == "fixpoint"
 
     def test_unknown_scheduler_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(scheduler="speculative")
+        for name in ("event", "speculative"):
+            with pytest.raises(SimulationError):
+                Simulator(scheduler=name)
 
 
 class PythonStateComb(Module):
     """Comb process reading module-level Python state, not signals.
 
-    The module opts into event scheduling with an empty sensitivity list
+    The module opts into work-list scheduling with an empty sensitivity list
     and wakes itself whenever the state it reads changes — the pattern the
     platform models (AXI endpoints, host memory) use.
     """
@@ -284,7 +276,7 @@ class TestEventScheduling:
     def test_quiescent_cycles_skip_settling(self):
         """Stable inputs: after the first cycle the work-list stays empty,
         settling is skipped entirely, and seq() still runs every cycle."""
-        sim = Simulator(scheduler="event")
+        sim = Simulator(scheduler="compiled")
         top = Module("top")
         a = top.signal("a")
         b = top.signal("b")
@@ -297,7 +289,7 @@ class TestEventScheduling:
         assert sim.quiescent_cycles == 9   # only the first cycle settled
 
     def test_signal_change_ends_quiescence(self):
-        sim = Simulator(scheduler="event")
+        sim = Simulator(scheduler="compiled")
         top = Module("top")
         a = top.signal("a")
         b = top.signal("b")
@@ -312,7 +304,7 @@ class TestEventScheduling:
 
     def test_undeclared_module_evaluates_every_cycle(self):
         """Safety fallback: no sensitivity declaration means every pass."""
-        sim = Simulator(scheduler="event")
+        sim = Simulator(scheduler="compiled")
         top = Module("top")
         a = top.signal("a")
         b = top.signal("b")
@@ -322,7 +314,7 @@ class TestEventScheduling:
         assert sim.quiescent_cycles == 0
 
     def test_wake_reschedules_python_state_comb(self):
-        sim = Simulator(scheduler="event")
+        sim = Simulator(scheduler="compiled")
         top = Module("top")
         out = top.signal("out", width=8)
         mod = top.submodule(PythonStateComb("m", out))
@@ -353,7 +345,7 @@ class TestEventScheduling:
                 self.comb_calls += 1
                 self.out.drive(self.inp.value)
 
-        sim = Simulator(scheduler="event")
+        sim = Simulator(scheduler="compiled")
         top = Module("top")
         a = top.signal("a")
         b = top.signal("b")
@@ -368,7 +360,7 @@ class TestEventScheduling:
         mod = PythonStateComb("m", out)
         top.submodule(mod)
         mod.set_level(3)   # wake() before bind(): must be a no-op, not a crash
-        sim = Simulator(scheduler="event")
+        sim = Simulator(scheduler="compiled")
         sim.add(top)
         sim.step()
         assert out.value == 3
@@ -433,7 +425,7 @@ class TestResetSchedulerState:
     def test_reset_reseeds_event_worklist(self):
         """After reset every declared module re-evaluates on the first step,
         even though its inputs are back at their power-on values."""
-        sim = Simulator(scheduler="event")
+        sim = Simulator(scheduler="compiled")
         top = Module("top")
         a = top.signal("a")
         b = top.signal("b")
@@ -447,7 +439,7 @@ class TestResetSchedulerState:
         assert b.value == 1   # recomputed without any input edge
 
     def test_reset_clears_pending_wake(self):
-        sim = Simulator(scheduler="event")
+        sim = Simulator(scheduler="compiled")
         top = Module("top")
         out = top.signal("out", width=8)
         mod = top.submodule(PythonStateComb("m", out))

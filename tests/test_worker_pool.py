@@ -175,7 +175,7 @@ def _tier_worker(cell):
     from repro.sim.compile import schedule_cache_stats
 
     metrics = record_run(get_app(cell.app), bench_config(VidiConfig.r2),
-                         seed=cell.seed, scheduler="compiled")
+                         seed=cell.seed)
     stats = schedule_cache_stats()
     return {"cycles": metrics.cycles, "disk_hits": stats["disk_hits"],
             "disk_misses": stats["disk_misses"]}
@@ -194,11 +194,10 @@ def test_warm_workers_prebind_schedules_from_disk(tmp_path):
         # Seed the disk tier with a cold compile, then forget it in RAM
         # so the workers cannot inherit an in-process hit via fork.
         ref = record_run(get_app("sha256"), bench_config(VidiConfig.r2),
-                         seed=5, scheduler="compiled")
+                         seed=5)
         clear_schedule_cache()
 
-        cells = [SweepCell(app="sha256", config="r2", seed=5,
-                           scheduler="compiled")]
+        cells = [SweepCell(app="sha256", config="r2", seed=5)]
         (res,) = run_cells(cells * 2, _tier_worker, jobs=2, warm_pool=True,
                            cache_dir=str(cache))[:1]
         assert res["cycles"] == ref.cycles
