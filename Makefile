@@ -15,7 +15,7 @@ PYTEST := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) $(PYTHON) -m pytest
 .PHONY: check test bench-kernel bench-batch bench-replay \
         bench-flightrec bench-warm bench-service bench \
         artifacts faults faults-batched faults-flightrec faults-warm \
-        serve-smoke
+        serve-smoke fuzz-frames
 
 check: test bench-kernel bench-batch bench-replay bench-flightrec \
        bench-warm bench-service faults
@@ -37,6 +37,19 @@ faults-warm:     ## campaign smoke over the warm pool + persistent cache
 	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
 	  $(PYTHON) -m repro.harness campaign --faults 60 --seed 0 \
 	  --warm-pool --cache-dir .repro-cache/schedules
+
+FUZZ_TRACE := .repro-cache/fuzz-frames/dram_dma.vtrc3
+
+fuzz-frames:     ## container fuzz, v2 + v3 (fails on any silent accept)
+	mkdir -p $(dir $(FUZZ_TRACE))
+	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
+	  $(PYTHON) -m repro.harness record dram_dma -o $(FUZZ_TRACE) \
+	  --flight-recorder --scale 1
+	for container in 2 3; do \
+	  PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
+	    $(PYTHON) -m repro.tools fuzz --frames --container $$container \
+	    --mutants 200 $(FUZZ_TRACE) || exit 1; \
+	done
 
 test:            ## tier-1: the full unit/integration suite
 	$(PYTEST) -x -q

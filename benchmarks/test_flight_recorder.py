@@ -2,11 +2,11 @@
 
 The always-on recording argument (rr's deployability case, ROADMAP item 1)
 only holds if the bounded record path is cheap on both axes the paper
-cares about: *storage* — the dedup + DEFLATE pipeline must shrink the
-external trace footprint enough that a ring of a few thousand storage
-words covers a useful replay window — and *time* — framing, compression
-and eviction are host-side bookkeeping that must not slow the recorded
-execution down. Both are enforced here (BENCH_flightrec.json):
+cares about: *storage* — per-epoch DEFLATE of the packet stream must
+shrink the external trace footprint enough that a ring of a few thousand
+storage words covers a useful replay window — and *time* — framing,
+compression and eviction are host-side bookkeeping that must not slow the
+recorded execution down. Both are enforced here (BENCH_flightrec.json):
 
 * compression ratio >= 2x on the DMA-heavy app (wide payloads with
   repeated descriptors/status words: the deployment target's profile);
@@ -36,16 +36,10 @@ def _ratio_row(app: str) -> dict:
         get_app(app), bench_config(VidiConfig.r2, flight_recorder=True),
         seed=0)
     flight = metrics.result["flight"]
-    dedup = flight["dedup"]
-    hits = dedup["hits"]
-    refs = hits + dedup["inserts"]
     return {
         "flat_bytes": flight["flat_bytes"],
-        "stream_bytes": flight["stream_bytes"],
         "frame_bytes": flight["frame_bytes"],
-        "dedup_ratio": round(flight["dedup_ratio"], 3),
         "compression_ratio": round(flight["compression_ratio"], 3),
-        "dedup_hit_rate": round(hits / refs, 3) if refs else 0.0,
         "anchors": flight["anchors"],
     }
 
@@ -71,9 +65,8 @@ def test_flight_recorder_gates(emit):
         report["ratio"][app] = row
         lines.append(
             f"  {app:<14} flat {row['flat_bytes']:>9,} B -> framed "
-            f"{row['frame_bytes']:>9,} B   dedup {row['dedup_ratio']:.2f}x "
-            f"(hit {row['dedup_hit_rate']:.0%})   "
-            f"total {row['compression_ratio']:.2f}x")
+            f"{row['frame_bytes']:>9,} B   "
+            f"{row['compression_ratio']:.2f}x ({row['anchors']} anchor(s))")
 
     rounds = bench_runs(4)
     spec = get_app(GATE_APP)

@@ -47,9 +47,6 @@ class VidiMode(enum.Enum):
 DEFAULT_FLIGHT_RETAIN_WORDS = 1 << 16
 """Flight-recorder hot-ring budget: 64 Ki storage words (4 MiB)."""
 
-DEFAULT_FLIGHT_DEDUP_SLOTS = 1024
-"""Bounded content-dedup dictionary entries (fits a 2-byte backref)."""
-
 DEFAULT_FLIGHT_COMPRESS_LEVEL = 6
 """zlib level for RUN frames. Level 6 costs a few extra milliseconds per
 megabyte of stream over level 3 but closes most of the gap to the
@@ -72,13 +69,12 @@ class VidiConfig:
     record_output_contents: bool = True
     staging_bytes: int = DEFAULT_STAGING_BYTES
     store_bandwidth: float = DEFAULT_BANDWIDTH_BYTES_PER_CYCLE
-    # Flight-recorder mode (always-on recording, ROADMAP item 1): dedup +
-    # per-frame compression on the drained stream, ring-buffer retention
+    # Flight-recorder mode (always-on recording, ROADMAP item 1):
+    # per-epoch compression of the drained stream, ring-buffer retention
     # with periodic re-anchoring checkpoints. Only meaningful for RECORD
     # deployments; replay/validation stores stay plain.
     flight_recorder: bool = False
     flight_retain_words: int = DEFAULT_FLIGHT_RETAIN_WORDS
-    flight_dedup_slots: int = DEFAULT_FLIGHT_DEDUP_SLOTS
     flight_compress_level: int = DEFAULT_FLIGHT_COMPRESS_LEVEL
     flight_anchor_stride: int = DEFAULT_FLIGHT_ANCHOR_STRIDE
 

@@ -26,114 +26,11 @@ Two feed representations exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.events import ChannelTable
-from repro.core.packets import (DEDUP_MIN_BYTES, DEDUP_SLOT_BYTES, CyclePacket,
-                                DedupDict, deserialize_packets, iter_bits)
+from repro.core.packets import CyclePacket, deserialize_packets, iter_bits
 from repro.core.vector_clock import VectorClock
-from repro.errors import TraceFormatError
-
-
-def expand_dedup_stream(stream: "bytes | memoryview", table: ChannelTable,
-                        with_validation: bool, dedup: DedupDict,
-                        out: bytearray,
-                        tolerate_tail: bool = False) -> Tuple[int, int]:
-    """Expand a dedup-coded packet stream back to the flat body encoding.
-
-    This is the exact inverse of
-    :meth:`~repro.core.packets.CyclePacket.serialize_into` with a dedup
-    dictionary: walking the same packets in order, a literal payload is
-    inserted into ``dedup`` and a backref resolved through it, so the
-    dictionary evolves bit-symmetrically with the encoder's and the
-    expansion is byte-identical to what plain serialization would have
-    produced. Appends to ``out`` and returns ``(n_packets, consumed)``.
-
-    ``tolerate_tail=True`` (salvage): the first undecodable packet — torn
-    by truncation or structurally corrupt (backref to an empty slot, width
-    mismatch, mask bit on an ineligible channel) — is rolled back and
-    expansion stops, reported via ``consumed < len(stream)``. With
-    ``tolerate_tail=False`` the same conditions raise
-    :class:`TraceFormatError`.
-    """
-    view = memoryview(stream)
-    size = len(view)
-    n = table.n
-    nbytes = table.bitvec_bytes
-    content_bytes = [table[i].content_bytes for i in range(n)]
-    is_input = [table.is_input(i) for i in range(n)]
-    offset = 0
-    count = 0
-    while offset < size:
-        mark = len(out)
-        try:
-            if offset + 2 * nbytes > size:
-                raise TraceFormatError(
-                    "dedup stream truncated inside a cycle-packet header")
-            starts = int.from_bytes(view[offset:offset + nbytes], "little")
-            ends = int.from_bytes(
-                view[offset + nbytes:offset + 2 * nbytes], "little")
-            if starts == 0 and ends == 0:
-                raise TraceFormatError(
-                    f"empty cycle packet at dedup-stream offset {offset}")
-            entries: List[Tuple[int, int]] = []
-            for i in iter_bits(starts, n):
-                if not is_input[i]:
-                    raise TraceFormatError(
-                        f"start bit set for output channel {table[i].name}")
-                entries.append((i, content_bytes[i]))
-            if with_validation:
-                for i in iter_bits(ends, n):
-                    if not is_input[i]:
-                        entries.append((i, content_bytes[i]))
-            cursor = offset + 2 * nbytes
-            mask = 0
-            if any(width >= DEDUP_MIN_BYTES for _, width in entries):
-                if cursor + nbytes > size:
-                    raise TraceFormatError(
-                        "dedup stream truncated inside a dedup mask")
-                mask = int.from_bytes(view[cursor:cursor + nbytes], "little")
-                cursor += nbytes
-                eligible = 0
-                for i, width in entries:
-                    if width >= DEDUP_MIN_BYTES:
-                        eligible |= 1 << i
-                if mask & ~eligible:
-                    raise TraceFormatError(
-                        "dedup mask bit set for an ineligible channel")
-            out += starts.to_bytes(nbytes, "little")
-            out += ends.to_bytes(nbytes, "little")
-            for i, width in entries:
-                if (mask >> i) & 1:
-                    if cursor + DEDUP_SLOT_BYTES > size:
-                        raise TraceFormatError(
-                            "dedup stream truncated inside a backref")
-                    slot = int.from_bytes(
-                        view[cursor:cursor + DEDUP_SLOT_BYTES], "little")
-                    cursor += DEDUP_SLOT_BYTES
-                    content = dedup.get(slot)
-                    if len(content) != width:
-                        raise TraceFormatError(
-                            f"backref slot {slot} holds {len(content)} bytes "
-                            f"but channel {table[i].name} needs {width}")
-                    out += content
-                else:
-                    if cursor + width > size:
-                        raise TraceFormatError(
-                            "dedup stream truncated inside a literal payload")
-                    content = bytes(view[cursor:cursor + width])
-                    cursor += width
-                    if width >= DEDUP_MIN_BYTES:
-                        dedup.insert(content)
-                    out += content
-        except TraceFormatError:
-            if tolerate_tail:
-                del out[mark:]
-                return count, offset
-            raise
-        offset = cursor
-        count += 1
-    return count, offset
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,8 @@ can always be logged in the exact cycle it fires — the store may back-pressure
 
 from __future__ import annotations
 
-from typing import List
-
-from typing import Optional
-
 from repro.core.events import ChannelTable
-from repro.core.packets import CyclePacket, DedupDict
+from repro.core.packets import CyclePacket
 from repro.core.store import TraceStore
 from repro.errors import SimulationError
 from repro.sim.module import Module
@@ -45,20 +41,11 @@ class TraceEncoder(Module):
     burn_idle = True
 
     def __init__(self, name: str, table: ChannelTable, store: TraceStore,
-                 record_output_contents: bool = True,
-                 dedup: Optional[DedupDict] = None):
+                 record_output_contents: bool = True):
         super().__init__(name)
         self.table = table
         self.store = store
         self.record_output_contents = record_output_contents
-        # Flight-recorder content dedup: when set, packets are dictionary-
-        # coded at serialize time (repeat payloads become 2-byte backrefs)
-        # before they reach the store — shrinking staged bytes shrinks
-        # stalls too. Reservation accounting stays conservative: grants
-        # assume the undeduped worst case, so back-pressure timing can only
-        # relax, never break.
-        self.dedup = dedup
-        self.bytes_flat = 0   # what the un-deduped encoding would have cost
         self._packet = CyclePacket()
         self._stage = bytearray()   # reusable serialization buffer
         self._reserved_bytes = 0
@@ -155,11 +142,7 @@ class TraceEncoder(Module):
         # per field plus a join.
         stage = self._stage
         stage.clear()
-        flat = packet.serialize_into(stage, self.table,
-                                     self.record_output_contents,
-                                     dedup=self.dedup)
-        if flat is not None:
-            self.bytes_flat += flat
+        packet.serialize_into(stage, self.table, self.record_output_contents)
         if self.drop_on_overflow and len(stage) > self.store.free:
             self.dropped_events += bin(packet.starts).count("1")
             self.dropped_events += bin(packet.ends).count("1")
@@ -174,11 +157,6 @@ class TraceEncoder(Module):
         # cycles with channel activity — activity that blocks warping.
         return cycle if not self._packet.is_empty else None
 
-    def reset_dedup(self) -> None:
-        """Start a fresh dedup epoch (mirrors the decoder's ANCHOR reset)."""
-        if self.dedup is not None:
-            self.dedup.clear()
-
     def reset_state(self) -> None:
         super().reset_state()
         self._packet = CyclePacket()
@@ -187,9 +165,3 @@ class TraceEncoder(Module):
         self.packets_emitted = 0
         self.events_recorded = 0
         self.dropped_events = 0
-        self.bytes_flat = 0
-        if self.dedup is not None:
-            self.dedup.clear()
-            self.dedup.hits = 0
-            self.dedup.inserts = 0
-            self.dedup.evictions = 0

@@ -160,17 +160,13 @@ FRAME_REGIONS = ("magic", "length", "header", "body", "footer")
 """The v2 container regions :func:`corrupt_frame` can target."""
 
 V3_FRAME_REGIONS = ("magic", "length", "header", "run", "anchor",
-                    "truncate", "backref")
+                    "truncate")
 """The v3 container regions :func:`corrupt_v3_frame` can target.
 
 ``magic``/``length``/``header`` mirror the v2 regions. ``run`` and
 ``anchor`` flip one bit inside a frame payload *without* refixing its
 CRC32 (the loader must reject, and salvage must resync). ``truncate``
-cuts the blob mid-RUN-frame — the ring's torn-at-the-wrap crash shape.
-``backref`` is the decode-level mutant: it rewrites one dedup backref in
-the compressed stream to an unwritable slot and *refixes every CRC*, so
-the container is pristine and only the symmetric-dictionary decode can
-catch it."""
+cuts the blob mid-RUN-frame — the ring's torn-at-the-wrap crash shape."""
 
 
 def corrupt_frame(blob: bytes, rng, region: Optional[str] = None
@@ -249,116 +245,6 @@ def _v3_layout(blob: bytes):
     return header_end, frames
 
 
-def _backref_offsets(stream: bytes, table: ChannelTable,
-                     with_validation: bool) -> List[int]:
-    """Stream offsets of every 2-byte backref slot in a dedup-coded stream.
-
-    A structural walk of the wire layout (Starts/Ends/mask/entries, see
-    ``docs/TRACE_FORMAT.md``) — backref *positions* are fully determined
-    by the bytes themselves, no dictionary state needed.
-    """
-    from repro.core.packets import DEDUP_MIN_BYTES, DEDUP_SLOT_BYTES, iter_bits
-
-    n = table.n
-    nbytes = table.bitvec_bytes
-    content_bytes = [table[i].content_bytes for i in range(n)]
-    is_input = [table.is_input(i) for i in range(n)]
-    size = len(stream)
-    offsets: List[int] = []
-    offset = 0
-    while offset + 2 * nbytes <= size:
-        starts = int.from_bytes(stream[offset:offset + nbytes], "little")
-        ends = int.from_bytes(
-            stream[offset + nbytes:offset + 2 * nbytes], "little")
-        entries = [(i, content_bytes[i]) for i in iter_bits(starts, n)]
-        if with_validation:
-            entries += [(i, content_bytes[i]) for i in iter_bits(ends, n)
-                        if not is_input[i]]
-        cursor = offset + 2 * nbytes
-        mask = 0
-        if any(width >= DEDUP_MIN_BYTES for _, width in entries):
-            mask = int.from_bytes(stream[cursor:cursor + nbytes], "little")
-            cursor += nbytes
-        for i, width in entries:
-            if (mask >> i) & 1:
-                offsets.append(cursor)
-                cursor += DEDUP_SLOT_BYTES
-            else:
-                cursor += width
-        offset = cursor
-    return offsets
-
-
-def corrupt_backref(blob: bytes, rng) -> Tuple[str, bytes]:
-    """Rewrite one dedup backref to an unwritable slot, refixing all CRCs.
-
-    The strongest v3 mutant: the returned container passes every framing
-    check (magic, lengths, frame CRC32s) — only the *decode* can reject
-    it, when the symmetric dedup dictionary resolves the poisoned slot
-    and finds it unwritten. Loading the result must deterministically
-    raise a :class:`~repro.errors.TraceFormatError`; a load that succeeds
-    means backref validation regressed.
-
-    Raises :class:`~repro.errors.ConfigError` when the trace contains no
-    backref to corrupt (nothing repeated) — callers should fall back to a
-    framing region.
-    """
-    import json
-    import zlib as _zlib
-
-    from repro.core.packets import DEDUP_SLOT_BYTES, DEFAULT_DEDUP_SLOTS
-    from repro.core.trace_file import (_FRAME_HEADER, FRAME_ANCHOR, FRAME_END,
-                                       FRAME_RUN, encode_end_frame,
-                                       encode_frame)
-
-    header_end, frames = _v3_layout(blob)
-    header = json.loads(bytes(blob[_PREAMBLE_V2_OFFSET:header_end]))
-    table = ChannelTable.from_dict(header["channels"])
-    with_validation = bool(header["with_validation"])
-    dedup_slots = int((header.get("v3") or {}).get("dedup_slots",
-                                                   DEFAULT_DEDUP_SLOTS))
-    # Reassemble the epochs: (anchor payload, decompressed stream) pairs.
-    epochs: List[List] = []   # [leading frames..., bytearray stream]
-    dobj = None
-    stream: Optional[bytearray] = None
-    payloads = []
-    for offset, kind, plen in frames:
-        payload = bytes(blob[offset + _FRAME_HEADER:
-                             offset + _FRAME_HEADER + plen])
-        payloads.append((kind, payload))
-        if kind == FRAME_ANCHOR:
-            stream = bytearray()
-            epochs.append([payload, stream])
-            dobj = None
-        elif kind == FRAME_RUN and stream is not None:
-            if dobj is None or dobj.eof:
-                dobj = _zlib.decompressobj()
-            stream += dobj.decompress(payload)
-    candidates = []
-    for epoch_index, (_anchor, stream) in enumerate(epochs):
-        for position in _backref_offsets(bytes(stream), table,
-                                         with_validation):
-            candidates.append((epoch_index, position))
-    if not candidates:
-        raise ConfigError("trace contains no dedup backref to corrupt")
-    epoch_index, position = candidates[rng.randrange(len(candidates))]
-    poison = min(dedup_slots, (1 << (8 * DEDUP_SLOT_BYTES)) - 1)
-    epochs[epoch_index][1][position:position + DEDUP_SLOT_BYTES] = \
-        poison.to_bytes(DEDUP_SLOT_BYTES, "little")
-    # Re-emit the container: same header, one RUN frame per epoch (the
-    # loader accepts standalone zlib streams), every CRC freshly computed.
-    parts = [bytes(blob[:header_end])]
-    for anchor_payload, stream in epochs:
-        parts.append(encode_frame(FRAME_ANCHOR, anchor_payload))
-        if stream:
-            parts.append(encode_frame(FRAME_RUN,
-                                      _zlib.compress(bytes(stream), 6)))
-    if any(kind == FRAME_END for kind, _ in payloads):
-        parts.append(encode_end_frame())
-    return (f"corrupt-backref: epoch {epoch_index} stream byte {position} "
-            f"-> slot {poison} (all CRCs refixed)", b"".join(parts))
-
-
 _PREAMBLE_V2_OFFSET = 20   # magic(8) + header_len(8) + header_crc32(4)
 
 
@@ -369,9 +255,7 @@ def corrupt_v3_frame(blob: bytes, rng, region: Optional[str] = None
     Bit-flip regions leave the CRCs stale, so the loader must detect the
     damage outright (and salvage must recover an anchored window).
     ``truncate`` cuts the blob inside the last RUN frame's payload — the
-    crash shape a torn ring write leaves behind. ``backref`` delegates to
-    :func:`corrupt_backref` (container-valid, decode-detected); when the
-    trace has no backref it degrades to a ``run`` bit-flip.
+    crash shape a torn ring write leaves behind.
     """
     from repro.core.trace_file import _FRAME_HEADER, FRAME_ANCHOR, FRAME_RUN
 
@@ -381,11 +265,6 @@ def corrupt_v3_frame(blob: bytes, rng, region: Optional[str] = None
     if region not in V3_FRAME_REGIONS:
         raise ConfigError(f"unknown v3 frame region {region!r} "
                           f"(one of {', '.join(V3_FRAME_REGIONS)})")
-    if region == "backref":
-        try:
-            return corrupt_backref(blob, rng)
-        except ConfigError:
-            region = "run"
     runs = [f for f in frames if f[1] == FRAME_RUN and f[2] > 0]
     anchors = [f for f in frames if f[1] == FRAME_ANCHOR and f[2] > 0]
     if region == "truncate":

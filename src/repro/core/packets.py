@@ -22,98 +22,12 @@ The serialized trace is the concatenation of serialized cycle packets for
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.contents_tree import pack_contents, unpack_contents
 from repro.core.events import ChannelTable
 from repro.errors import TraceFormatError
-
-DEDUP_MIN_BYTES = 4
-"""Payloads shorter than this are never dictionary-coded: a backref costs
-two bytes, so tiny fields (AXI-Lite B responses, 1-byte doorbells) stay
-literal and skip the dictionary entirely on both sides."""
-
-DEDUP_SLOT_BYTES = 2
-"""Wire width of one backref: a little-endian dictionary slot id."""
-
-DEFAULT_DEDUP_SLOTS = 1024
-"""Default bounded-dictionary capacity (must fit in DEDUP_SLOT_BYTES)."""
-
-
-class DedupDict:
-    """Bounded LRU content dictionary, reconstructible from the stream alone.
-
-    The flight recorder's dedup transform replaces repeated ``Contents`` /
-    ``Validation`` payloads with 2-byte *backrefs* into this dictionary.
-    Encoder and decoder each hold one instance and drive it with the exact
-    same event sequence — a literal payload is inserted, a backref touches
-    its slot — so slot assignment and LRU eviction stay bit-symmetric
-    without any dictionary state ever being serialized.
-
-    Slot lifecycle: fresh literals take ascending free slots until the
-    capacity is reached, then evict the least-recently-used slot (recency
-    is advanced by both hits/backrefs and inserts). The encoder keys a
-    reverse map on the payload bytes themselves (exact match, no collision
-    risk); the decoder only ever indexes by slot.
-    """
-
-    def __init__(self, slots: int = DEFAULT_DEDUP_SLOTS):
-        if not 1 <= slots <= 1 << (8 * DEDUP_SLOT_BYTES):
-            raise TraceFormatError(
-                f"dedup dictionary needs 1..{1 << (8 * DEDUP_SLOT_BYTES)} "
-                f"slots, got {slots}")
-        self.slots = slots
-        self._content: List[Optional[bytes]] = [None] * slots
-        self._by_content: Dict[bytes, int] = {}
-        self._order: "OrderedDict[int, None]" = OrderedDict()
-        self._next_free = 0
-        self.hits = 0
-        self.inserts = 0
-        self.evictions = 0
-
-    def find(self, content: bytes) -> Optional[int]:
-        """Encoder side: slot of ``content`` if cached (touches recency)."""
-        slot = self._by_content.get(content)
-        if slot is not None:
-            self.hits += 1
-            self._order.move_to_end(slot)
-        return slot
-
-    def insert(self, content: bytes) -> int:
-        """Both sides: cache a literal payload; returns its slot."""
-        if self._next_free < self.slots:
-            slot = self._next_free
-            self._next_free += 1
-        else:
-            slot, _ = self._order.popitem(last=False)   # LRU victim
-            old = self._content[slot]
-            if old is not None:
-                self._by_content.pop(old, None)
-            self.evictions += 1
-        self._content[slot] = content
-        self._by_content[content] = slot
-        self._order[slot] = None
-        self.inserts += 1
-        return slot
-
-    def get(self, slot: int) -> bytes:
-        """Decoder side: resolve a backref (touches recency, counts a hit)."""
-        if not 0 <= slot < self.slots or self._content[slot] is None:
-            raise TraceFormatError(
-                f"backref to unwritten dedup slot {slot}")
-        self.hits += 1
-        self._order.move_to_end(slot)
-        return self._content[slot]     # type: ignore[return-value]
-
-    def clear(self) -> None:
-        """Reset to the empty dictionary (epoch re-anchor on both sides)."""
-        self._content = [None] * self.slots
-        self._by_content.clear()
-        self._order.clear()
-        self._next_free = 0
-
 
 @dataclass
 class ChannelPacket:
@@ -179,8 +93,7 @@ class CyclePacket:
         return bytes(out)
 
     def serialize_into(self, out: bytearray, table: ChannelTable,
-                       with_validation: bool,
-                       dedup: Optional[DedupDict] = None) -> Optional[int]:
+                       with_validation: bool) -> None:
         """Append the encoding to ``out`` without intermediate allocations.
 
         The Contents/Validation fields are dense concatenations in ascending
@@ -188,67 +101,18 @@ class CyclePacket:
         (:func:`~repro.core.contents_tree.pack_contents`) produces, appended
         piecewise instead of joined; the round-trip property tests pin the
         two encodings byte-identical.
-
-        With ``dedup`` set, the flight recorder's dictionary transform is
-        applied: when any payload entry of this packet is wide enough to
-        dictionary-code (``content_bytes >= DEDUP_MIN_BYTES``) a *dedup
-        mask* bitvector is emitted after ``Ends``, and each masked entry is
-        replaced by a 2-byte backref slot. Whether the mask is present is
-        fully determined by ``Starts``/``Ends`` and the channel table, so
-        the decoder needs no flag bytes. Channels are input xor output, so
-        one mask covers Contents and Validation entries without ambiguity.
-        Returns the byte count the *un-deduped* encoding would have cost
-        (``None`` on the plain path) so callers can track the savings
-        without a second pass.
         """
         nbytes = table.bitvec_bytes
         out += self.starts.to_bytes(nbytes, "little")
         out += self.ends.to_bytes(nbytes, "little")
         contents = self.contents
-        validation = self.validation if with_validation else None
-        if dedup is None:
-            if contents:
-                for index in sorted(contents):
-                    out += contents[index]
-            if validation:
-                for index in sorted(validation):
-                    out += validation[index]
-            return None
-        # Dedup path: one pass per payload dict, mask patched in place.
-        flat = 2 * nbytes
-        has_mask = False
         if contents:
-            for content in contents.values():
-                if len(content) >= DEDUP_MIN_BYTES:
-                    has_mask = True
-                    break
-        if validation and not has_mask:
-            for content in validation.values():
-                if len(content) >= DEDUP_MIN_BYTES:
-                    has_mask = True
-                    break
-        mask_pos = len(out)
-        if has_mask:
-            out += bytes(nbytes)   # placeholder, patched below
-        mask = 0
-        for source in (contents, validation):
-            if not source:
-                continue
-            for index in sorted(source):
-                content = source[index]
-                width = len(content)
-                flat += width
-                if width >= DEDUP_MIN_BYTES:
-                    slot = dedup.find(content)
-                    if slot is not None:
-                        mask |= 1 << index
-                        out += slot.to_bytes(DEDUP_SLOT_BYTES, "little")
-                        continue
-                    dedup.insert(content)
-                out += content
-        if mask:
-            out[mask_pos:mask_pos + nbytes] = mask.to_bytes(nbytes, "little")
-        return flat
+            for index in sorted(contents):
+                out += contents[index]
+        validation = self.validation if with_validation else None
+        if validation:
+            for index in sorted(validation):
+                out += validation[index]
 
     @classmethod
     def deserialize(cls, blob: memoryview, offset: int, table: ChannelTable,
@@ -312,23 +176,46 @@ def scan_packet_prefix(blob: "bytes | memoryview", table: ChannelTable,
 
     Returns ``(n_packets, n_bytes)``: the count of cycle packets that parse
     cleanly from offset 0 and the byte offset where the first undecodable
-    packet (truncation, output-start bit, empty packet, content overrun)
-    begins. A fully valid body returns ``(packet_count, len(blob))``.
+    packet (truncation, output-start bit, bit above the channel count,
+    empty packet) begins. A fully valid body returns
+    ``(packet_count, len(blob))``.
 
-    This is the salvage primitive: a trace whose body was cut short by a
-    crash mid-recording — or corrupted from some point onward — still
-    yields a loadable, replayable prefix trace.
+    A header-only walk: each packet's length follows from its
+    Starts/Ends bitvectors and the channel table's content widths, so no
+    contents are decoded and no :class:`CyclePacket` is built. It accepts
+    exactly what a :meth:`CyclePacket.deserialize` loop accepts (the
+    walker property tests pin the two together).
+
+    This is the one packet walker behind salvage and v3 loading: a v2
+    body cut short by a crash mid-recording (or corrupted from some point
+    onward) still yields a loadable, replayable prefix trace, and each
+    decompressed v3 epoch is checked packet by packet before its bytes
+    join the body.
     """
     view = memoryview(blob)
     size = len(view)
+    n = table.n
+    nbytes = table.bitvec_bytes
+    widths = [table[i].content_bytes for i in range(n)]
+    inputs = sum(1 << i for i in table.input_indices)
     offset = 0
     count = 0
-    while offset < size:
-        try:
-            _, next_offset = CyclePacket.deserialize(view, offset, table,
-                                                     with_validation)
-        except TraceFormatError:
+    while offset + 2 * nbytes <= size:
+        starts = int.from_bytes(view[offset:offset + nbytes], "little")
+        ends = int.from_bytes(view[offset + nbytes:offset + 2 * nbytes],
+                              "little")
+        if not (starts or ends) or starts >> n or starts & ~inputs:
             break
-        offset = next_offset
+        cursor = offset + 2 * nbytes
+        for i in iter_bits(starts, n):
+            cursor += widths[i]
+        if with_validation:
+            if ends >> n:
+                break
+            for i in iter_bits(ends & ~inputs, n):
+                cursor += widths[i]
+        if cursor > size:
+            break
+        offset = cursor
         count += 1
     return count, offset

@@ -34,7 +34,6 @@ from repro.core.config import (
 )
 from repro.core.decoder import TraceDecoder
 from repro.core.encoder import TraceEncoder
-from repro.core.packets import DedupDict
 from repro.core.events import ChannelInfo, ChannelTable
 from repro.core.monitor import ChannelMonitor
 from repro.core.replayer import ChannelReplayer, ReplayCoordinator
@@ -132,10 +131,9 @@ class VidiShim(Module):
     # ------------------------------------------------------------------
     def _wire_record(self) -> None:
         config = self.config
-        dedup = None
         if config.flight_recorder:
             # Flight recorder: ring-buffer retention behind the same
-            # staging/drain pipeline, plus content dedup in the encoder.
+            # staging/drain pipeline.
             from repro.core.trace_ring import RingTraceStore
             self.store = RingTraceStore(
                 f"{self.name}.store",
@@ -145,7 +143,6 @@ class VidiShim(Module):
                 retain_words=config.flight_retain_words,
                 compress_level=config.flight_compress_level,
             )
-            dedup = DedupDict(config.flight_dedup_slots)
         else:
             self.store = TraceStore(
                 f"{self.name}.store",
@@ -156,7 +153,6 @@ class VidiShim(Module):
         self.encoder = TraceEncoder(
             f"{self.name}.encoder", self.table, self.store,
             record_output_contents=config.record_output_contents,
-            dedup=dedup,
         )
         index = 0
         for iface_name in config.monitored:
@@ -316,8 +312,7 @@ class VidiShim(Module):
         metadata = dict(metadata or {})
         if getattr(self.store, "is_ring", False):
             body, start, _ = self.store.expand(
-                self.table, self.encoder.record_output_contents,
-                self.config.flight_dedup_slots)
+                self.table, self.encoder.record_output_contents)
             if start["ordinal"] or start["checkpoint"] is not None:
                 metadata["ring"] = start
             trace = TraceFile(
@@ -338,23 +333,17 @@ class VidiShim(Module):
     # flight recorder (always-on recording)
     # ------------------------------------------------------------------
     def flight_stats(self) -> dict:
-        """Dedup + ring storage counters for a flight-recorder deployment."""
+        """Ring storage counters for a flight-recorder deployment."""
         if not getattr(self.store, "is_ring", False):
             raise ConfigError("flight stats require flight_recorder mode")
         stats = dict(self.store.stats())
-        dedup = self.encoder.dedup
-        stats["flat_bytes"] = self.encoder.bytes_flat
-        stats["dedup"] = {
-            "hits": dedup.hits,
-            "inserts": dedup.inserts,
-            "evictions": dedup.evictions,
-            "slots": dedup.slots,
-        }
-        stream = stats["stream_bytes"]
+        # Bytes before DEFLATE: the ring frames the plain packet stream.
+        flat = stats["flat_bytes"] = stats["stream_bytes"]
         frames = stats["frame_bytes"]
-        flat = stats["flat_bytes"]
-        stats["dedup_ratio"] = flat / stream if stream else 1.0
         stats["compression_ratio"] = flat / frames if frames else 1.0
+        # Constant since content dedup was removed; perfbench/passes.py
+        # still reads the key (ROADMAP item 6).
+        stats["dedup_ratio"] = 1.0
         return stats
 
     def flight_blob(self, metadata: Optional[dict] = None) -> bytes:
@@ -371,5 +360,4 @@ class VidiShim(Module):
         from repro.core.trace_file import build_v3_container
         return build_v3_container(
             self.table, self.encoder.record_output_contents,
-            dict(metadata or {}), self.store.frame_stream(end=True),
-            self.config.flight_dedup_slots)
+            dict(metadata or {}), self.store.frame_stream(end=True))

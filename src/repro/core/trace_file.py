@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.core.decoder import expand_dedup_stream
 from repro.core.events import ChannelTable
-from repro.core.packets import (DEFAULT_DEDUP_SLOTS, CyclePacket, DedupDict,
-                                deserialize_packets, iter_bits,
+from repro.core.packets import (CyclePacket, deserialize_packets, iter_bits,
                                 scan_packet_prefix, serialize_packets)
 from repro.errors import TraceFormatError, TraceIntegrityError
 
@@ -43,9 +41,11 @@ DEFAULT_FORMAT_VERSION = 2
 #
 #   frame := kind(1) + payload_len(4 LE) + payload_crc32(4 LE) + payload
 #
-#   RUN    — a compressed run of dedup-coded cycle packets. Within one
-#            anchor-led epoch, RUN payloads are consecutive segments of a
-#            single DEFLATE stream cut at Z_SYNC_FLUSH boundaries: the
+#   RUN    — a compressed run of cycle packets in the plain body
+#            encoding (decompressed, an epoch's RUN payloads concatenate
+#            to a slice of the flat trace body). Within one anchor-led
+#            epoch, RUN payloads are consecutive segments of a single
+#            DEFLATE stream cut at Z_SYNC_FLUSH boundaries: the
 #            32 KiB compression window carries across frames (near
 #            whole-stream ratio) while any frame *prefix* of the epoch
 #            still decodes — which is all salvage ever replays, since a
@@ -53,10 +53,10 @@ DEFAULT_FORMAT_VERSION = 2
 #            Standalone zlib streams (one per frame) are also accepted on
 #            decode for hand-built containers;
 #   ANCHOR — a re-anchoring point: JSON {ordinal, cycle, checkpoint},
-#            zlib-compressed (checkpoint word values hex-packed); resets
-#            the dedup dictionary *and* the RUN compression stream on
-#            both sides and (for ring traces) carries the architectural
-#            checkpoint replay restores from;
+#            zlib-compressed (checkpoint word values hex-packed); restarts
+#            the RUN compression stream on both sides and (for ring
+#            traces) carries the architectural checkpoint replay restores
+#            from;
 #   END    — empty clean-close marker; its absence means the recording
 #            was cut short (crash) and the stream needs salvage.
 #
@@ -156,8 +156,7 @@ def _parse_anchor_payload(payload: bytes) -> Dict[str, Any]:
 
 
 def build_v3_container(table: ChannelTable, with_validation: bool,
-                       metadata: Dict[str, Any], frame_stream: bytes,
-                       dedup_slots: int) -> bytes:
+                       metadata: Dict[str, Any], frame_stream: bytes) -> bytes:
     """Assemble a v3 container around an already-framed byte stream.
 
     The ring store hands over its retained frames verbatim (END included),
@@ -170,7 +169,6 @@ def build_v3_container(table: ChannelTable, with_validation: bool,
         "with_validation": with_validation,
         "metadata": metadata,
         "compressed": False,
-        "v3": {"dedup_slots": dedup_slots},
     }).encode("utf-8")
     return b"".join([
         _MAGIC_V3,
@@ -269,17 +267,18 @@ def _scan_v3_frames(blob: bytes, offset: int):
 
 
 def _expand_v3_frames(frames: List[tuple], table: ChannelTable,
-                      with_validation: bool, dedup_slots: int,
-                      tolerate: bool):
+                      with_validation: bool, tolerate: bool):
     """Expand an ANCHOR-led frame window into a flat packet body.
 
     Returns ``(body, start, info)`` where ``start`` is the first anchor's
     ``{ordinal, cycle, checkpoint}`` and ``info`` gathers expansion stats.
-    Each ANCHOR resets the dedup dictionary exactly like the encoder did;
-    anchor ordinals are checked for consistency with the packet count so a
-    mismatched window fails loudly instead of replaying garbage.
+    Each decompressed epoch is already plain body bytes; the packet walker
+    (:func:`~repro.core.packets.scan_packet_prefix`) checks it packet by
+    packet and only its decodable prefix joins the body — with
+    ``tolerate=False`` anything left over raises. Anchor ordinals are
+    checked for consistency with the packet count so a mismatched window
+    fails loudly instead of replaying garbage.
     """
-    dedup = DedupDict(dedup_slots)
     body = bytearray()
     epoch = bytearray()
     # RUN frames within an epoch are segments of one DEFLATE stream
@@ -289,20 +288,23 @@ def _expand_v3_frames(frames: List[tuple], table: ChannelTable,
     # the next frame simply starts a fresh stream.
     dobj = None
     start: Optional[Dict[str, Any]] = None
-    info = {"packets": 0, "stream_bytes": 0, "dropped_stream_bytes": 0,
-            "anchors": 0, "stopped": None}
+    info = {"packets": 0, "dropped_stream_bytes": 0, "anchors": 0,
+            "stopped": None}
 
     def flush_epoch() -> bool:
         """Expand the buffered epoch; False if expansion had to stop."""
         if not epoch:
             return True
-        n, consumed = expand_dedup_stream(
-            epoch, table, with_validation, dedup, body,
-            tolerate_tail=tolerate)
-        info["packets"] += n
-        info["stream_bytes"] += consumed
+        n, consumed = scan_packet_prefix(epoch, table, with_validation)
         leftover = len(epoch) - consumed
+        if leftover and not tolerate:
+            raise TraceFormatError(
+                f"undecodable cycle packet {n} of a run-frame epoch "
+                f"({leftover} byte(s) left)")
+        del epoch[consumed:]
+        body.extend(epoch)
         epoch.clear()
+        info["packets"] += n
         if leftover:
             info["dropped_stream_bytes"] += leftover
             info["stopped"] = "undecodable packet inside a run frame"
@@ -326,7 +328,6 @@ def _expand_v3_frames(frames: List[tuple], table: ChannelTable,
                         f"the {expected} packets expanded so far")
                 info["stopped"] = "anchor ordinal mismatch"
                 break
-            dedup.clear()
             dobj = None
         elif kind == FRAME_RUN:
             if start is None:
@@ -344,8 +345,6 @@ def _expand_v3_frames(frames: List[tuple], table: ChannelTable,
                 break
     else:
         flush_epoch()
-    info["backrefs"] = dedup.hits
-    info["literals"] = dedup.inserts
     if start is None:
         start = {"ordinal": 0, "cycle": 0, "checkpoint": None}
     return bytes(body), start, info
@@ -478,21 +477,16 @@ class TraceFile:
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
-    def _header_bytes(self, compress: bool,
-                      extra: Optional[Dict[str, Any]] = None) -> bytes:
-        header = {
+    def _header_bytes(self, compress: bool) -> bytes:
+        return json.dumps({
             "channels": self.table.to_dict(),
             "with_validation": self.with_validation,
             "metadata": self.metadata,
             "compressed": compress,
-        }
-        if extra:
-            header.update(extra)
-        return json.dumps(header).encode("utf-8")
+        }).encode("utf-8")
 
     def to_bytes(self, compress: bool = False,
                  version: int = DEFAULT_FORMAT_VERSION,
-                 dedup_slots: int = DEFAULT_DEDUP_SLOTS,
                  compress_level: int = DEFAULT_V3_COMPRESS_LEVEL) -> bytes:
         """Serialize the whole trace (header + body) for storage.
 
@@ -500,11 +494,11 @@ class TraceFile:
         any flipped or missing byte fails loudly at load time instead of
         reaching the decoder. ``version=1`` writes the legacy unframed
         layout for older readers. ``version=3`` writes the flight-recorder
-        frame container: the body is dedup-coded (``dedup_slots``-entry
-        LRU dictionary) and split into zlib-compressed, individually
-        CRC-framed RUN frames behind a genesis ANCHOR (carrying this
-        trace's ``metadata['ring']`` re-anchor point, if any) and before a
-        clean-close END frame. All three load back with :meth:`from_bytes`.
+        frame container: the body is split into zlib-compressed,
+        individually CRC-framed RUN frames behind a genesis ANCHOR
+        (carrying this trace's ``metadata['ring']`` re-anchor point, if
+        any) and before a clean-close END frame. All three load back with
+        :meth:`from_bytes`.
 
         ``compress=True`` additionally DEFLATEs the v1/v2 packet body —
         useful for archiving traces offline; the on-FPGA format (what the
@@ -517,7 +511,7 @@ class TraceFile:
                 raise TraceFormatError(
                     "v3 frames are always compressed; compress= applies "
                     "to v1/v2 only")
-            return self._to_bytes_v3(dedup_slots, compress_level)
+            return self._to_bytes_v3(compress_level)
         body = zlib.compress(self.body, level=6) if compress else self.body
         header = self._header_bytes(compress)
         if version == 1:
@@ -540,9 +534,9 @@ class TraceFile:
             zlib.crc32(bytes(body)).to_bytes(4, "little"),
         ])
 
-    def _to_bytes_v3(self, dedup_slots: int, compress_level: int) -> bytes:
+    def _to_bytes_v3(self, compress_level: int) -> bytes:
         """Re-encode the flat body as a single-window v3 frame stream."""
-        header = self._header_bytes(False, {"v3": {"dedup_slots": dedup_slots}})
+        header = self._header_bytes(False)
         ring = self.metadata.get("ring") or {}
         parts = [
             _MAGIC_V3,
@@ -553,15 +547,10 @@ class TraceFile:
                                 int(ring.get("cycle", 0)),
                                 ring.get("checkpoint")),
         ]
-        dedup = DedupDict(dedup_slots)
-        stream = bytearray()
-        for packet in self.iter_packets():
-            packet.serialize_into(stream, self.table, self.with_validation,
-                                  dedup=dedup)
         # One DEFLATE stream cut at sync-flush boundaries: the compression
         # window spans RUN frames, matching what the ring store emits.
         cobj = zlib.compressobj(compress_level)
-        view = memoryview(stream)
+        view = memoryview(self.body)
         for offset in range(0, len(view), _V3_RUN_BYTES):
             payload = cobj.compress(view[offset:offset + _V3_RUN_BYTES]) \
                 + cobj.flush(zlib.Z_SYNC_FLUSH)
@@ -746,11 +735,13 @@ class TraceFile:
             raise TraceIntegrityError("trace header CRC32 mismatch")
         table, with_validation, metadata, _, header = cls._parse_header(
             header_bytes)
-        try:
-            dedup_slots = int((header.get("v3") or {}).get(
-                "dedup_slots", DEFAULT_DEDUP_SLOTS))
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise TraceFormatError(f"corrupt v3 header info: {exc}") from exc
+        legacy = header.get("v3")
+        if isinstance(legacy, dict) and "dedup_slots" in legacy:
+            # Dedup-coded RUN payloads (2-byte backrefs into an LRU content
+            # dictionary) are not plain body bytes; salvage cannot help.
+            raise TraceFormatError(
+                "dedup-coded v3 container (header carries v3.dedup_slots): "
+                "it predates the plain-body RUN format and cannot be loaded")
         segments, reasons, end_seen = _scan_v3_frames(blob, header_end)
         if not end_seen and not reasons:
             reasons.append("END frame missing (crash before finalize?)")
@@ -773,7 +764,7 @@ class TraceFile:
         if not reasons and chosen_lead:
             raise TraceFormatError("v3 stream does not begin with an anchor")
         body, start, info = _expand_v3_frames(
-            chosen, table, with_validation, dedup_slots, tolerate=salvage)
+            chosen, table, with_validation, tolerate=salvage)
         metadata = dict(metadata)
         damaged = bool(reasons) or info["dropped_stream_bytes"] or \
             info["stopped"]
@@ -796,13 +787,9 @@ class TraceFile:
             "container_bytes": len(blob),
             "frame_bytes": len(blob) - header_end,
             "body_bytes": len(body),
-            "stream_bytes": info["stream_bytes"],
             "packets": info["packets"],
             "anchors": info["anchors"],
-            "backrefs": info["backrefs"],
-            "literals": info["literals"],
             "segments": len(segments),
-            "dedup_slots": dedup_slots,
         }
         return trace
 

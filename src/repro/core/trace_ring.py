@@ -7,13 +7,13 @@ salvageable, bit-identical-replayable suffix. This module supplies the
 storage half of that contract on top of the ordinary
 :class:`~repro.core.store.TraceStore` drain pipeline:
 
-* the drained byte stream (dedup-coded cycle packets, see
-  :class:`~repro.core.packets.DedupDict`) is framed host-side into the v3
-  container's CRC-framed RUN frames (zlib, level-tunable);
+* the drained byte stream (plain cycle packets, the same bytes a
+  non-flight recording keeps) is framed host-side into the v3 container's
+  CRC-framed RUN frames (zlib, level-tunable);
 * periodic **re-anchor points** — requested by the deployment when the
   design is quiescent — insert ANCHOR frames carrying an architectural
-  checkpoint at an *exact packet-stream byte watermark*, and reset the
-  dedup dictionary so each anchor starts a self-contained epoch;
+  checkpoint at an *exact packet-stream byte watermark*, and restart the
+  RUN compression stream so each anchor starts a self-contained epoch;
 * the ring evicts whole epochs from the front once the retained frame
   bytes exceed the configured storage-word budget, so the surviving frame
   sequence always leads with an ANCHOR — exactly what the v3 loader (and
@@ -50,7 +50,7 @@ from repro.core.trace_file import (FRAME_ANCHOR, FRAME_END, FRAME_RUN,
 from repro.errors import TraceFormatError
 
 DEFAULT_RUN_BYTES = 1 << 16
-"""Raw dedup-stream bytes gathered into one compressed RUN frame.
+"""Raw packet-stream bytes gathered into one compressed RUN frame.
 
 RUN frames within an epoch share one DEFLATE stream (cut at Z_SYNC_FLUSH
 boundaries), so the chunk size no longer bounds the compression window —
@@ -256,7 +256,7 @@ class RingTraceStore(TraceStore):
         # Anchors queued by byte watermark: (watermark, ordinal, cycle,
         # checkpoint-dict). The watermark is total_packet_bytes at request
         # time, so the ANCHOR frame lands at the exact packet boundary the
-        # encoder's dedup reset happened at.
+        # checkpoint was taken at.
         self._pending_anchors: Deque[Tuple[int, int, int, Optional[dict]]] = \
             deque()
         self._last_anchor_watermark = -1
@@ -316,7 +316,7 @@ class RingTraceStore(TraceStore):
         """Queue a re-anchor at the current packet-stream watermark.
 
         Called by the deployment's anchor hook at a quiescent instant,
-        after the encoder's dedup dictionary has been reset. The ANCHOR
+        with the checkpoint taken at that instant. The ANCHOR
         frame is inserted exactly when framing reaches the watermark —
         which may be now (stream fully drained) or later (bytes still in
         staging). A watermark that already carries an anchor is skipped.
@@ -380,7 +380,7 @@ class RingTraceStore(TraceStore):
         """The retained frames as encoded v3 frame bytes (+ END marker)."""
         return self.ring.frame_stream(end=end)
 
-    def expand(self, table, with_validation: bool, dedup_slots: int):
+    def expand(self, table, with_validation: bool):
         """Expand the retained window to a flat packet body.
 
         Returns ``(body, start, info)`` exactly like the v3 loader's
@@ -389,7 +389,7 @@ class RingTraceStore(TraceStore):
         first so no bytes linger in staging or the unframed remainder.
         """
         return _expand_v3_frames(self.frame_list(), table, with_validation,
-                                 dedup_slots, tolerate=False)
+                                 tolerate=False)
 
     # ------------------------------------------------------------------
     # counters (delegated to the embedded ring; names kept stable for the

@@ -297,8 +297,9 @@ class _Campaign:
         try:
             metrics, _injector = self._record_leg(index, plan)
         except ReproError as exc:
-            # Flight recordings decode their dedup stream when the trace is
-            # materialised — storage corruption can already surface there.
+            # Flight recordings walk their ring's packet stream when the
+            # trace is materialised — storage corruption can already
+            # surface there.
             return "detected", f"record-side detection: {type(exc).__name__}"
         corrupted = metrics.result["trace"]
         if bytes(corrupted.body) == bytes(self.ref_trace.body):

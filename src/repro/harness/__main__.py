@@ -18,8 +18,8 @@ Applications can also be recorded and replayed directly::
     python -m repro.harness record sha256 -o sha.trace --seed 7
     python -m repro.harness replay sha256 sha.trace
 
-The always-on flight recorder records through a compressed, deduped ring
-and emits a v3 container of the retained window (replayable from its
+The always-on flight recorder records through a compressed ring and
+emits a v3 container of the retained window (replayable from its
 embedded re-anchor checkpoint even after the ring wrapped)::
 
     python -m repro.harness record dram_dma -o d.trace --flight-recorder \
@@ -101,7 +101,6 @@ def _cmd_record(args) -> int:
         overrides = {
             "flight_recorder": True,
             "flight_retain_words": args.retain_words,
-            "flight_dedup_slots": args.dedup_slots,
             "flight_compress_level": args.compress_level,
             "flight_anchor_stride": args.anchor_stride,
         }
@@ -172,7 +171,6 @@ def _cmd_record(args) -> int:
               f"{flight['retain_words']} word(s) retained, "
               f"{flight['anchors']} anchor(s), "
               f"{flight['evicted_epochs']} epoch(s) evicted, "
-              f"dedup {flight['dedup_ratio']:.2f}x, "
               f"compressed {flight['compression_ratio']:.2f}x")
     if args.profile:
         print()
@@ -227,7 +225,9 @@ def _render_cache_tiers(cache: dict) -> List[str]:
             f"disk tier: {cache['disk_hits']} hit(s), "
             f"{cache['disk_misses']} miss(es), "
             f"{cache['disk_invalidations']} invalidation(s), "
-            f"{cache['disk_writes']} write(s); {cache['disk_entries']} "
+            f"{cache['disk_writes']} write(s), "
+            f"{cache['disk_write_failures']} failed write(s); "
+            f"{cache['disk_entries']} "
             f"entr{'y' if cache['disk_entries'] == 1 else 'ies'} "
             f"({cache['disk_bytes']} bytes) in {cache['disk_dir']}")
     if cache.get("affinity_dispatches"):
@@ -391,20 +391,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="seed for the fault plan's random choices")
     from repro.core.config import (DEFAULT_FLIGHT_ANCHOR_STRIDE,
                                    DEFAULT_FLIGHT_COMPRESS_LEVEL,
-                                   DEFAULT_FLIGHT_DEDUP_SLOTS,
                                    DEFAULT_FLIGHT_RETAIN_WORDS)
 
     p_rec.add_argument("--flight-recorder", action="store_true",
                        help="record through the always-on flight recorder "
-                            "(dedup + compressed ring retention); the "
+                            "(compressed ring retention); the "
                             "output is a v3 container of the retained "
                             "window")
     p_rec.add_argument("--retain-words", type=int,
                        default=DEFAULT_FLIGHT_RETAIN_WORDS, metavar="N",
                        help="ring retention budget in 64-byte storage words")
-    p_rec.add_argument("--dedup-slots", type=int,
-                       default=DEFAULT_FLIGHT_DEDUP_SLOTS, metavar="N",
-                       help="content-dedup dictionary capacity (1..65536)")
     p_rec.add_argument("--compress-level", type=int,
                        default=DEFAULT_FLIGHT_COMPRESS_LEVEL, metavar="L",
                        help="zlib level for the ring's RUN frames (1..9)")

@@ -198,9 +198,7 @@ class BatchRunner:
                     "monitored_transactions": metrics.monitored_transactions,
                 }
                 if "flight" in metrics.result:
-                    flight = dict(metrics.result["flight"])
-                    flight.pop("dedup", None)
-                    results[i]["flight"] = flight
+                    results[i]["flight"] = dict(metrics.result["flight"])
         return results  # type: ignore[return-value]
 
 

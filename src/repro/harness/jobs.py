@@ -54,8 +54,8 @@ def _record_config(params: Dict[str, Any]):
     overrides: Dict[str, Any] = {}
     if params.get("flight_recorder"):
         overrides["flight_recorder"] = True
-        for key in ("flight_retain_words", "flight_dedup_slots",
-                    "flight_compress_level", "flight_anchor_stride"):
+        for key in ("flight_retain_words", "flight_compress_level",
+                    "flight_anchor_stride"):
             if params.get(key) is not None:
                 overrides[key] = params[key]
     return bench_config(VidiConfig.r2, **overrides)

@@ -109,7 +109,7 @@ def finish_record_metrics(spec: AppSpec, config: VidiConfig,
             m.transactions for m in deployment.shim.monitors)
         metrics.result["trace"] = trace
         if getattr(deployment.shim.store, "is_ring", False):
-            # Flight recorder: storage/dedup counters for the benchmark
+            # Flight recorder: storage counters for the benchmark
             # gates, plus the retained ring as a real v3 container (every
             # surviving re-anchor checkpoint stays a salvage resync point).
             metrics.result["flight"] = deployment.shim.flight_stats()
@@ -319,9 +319,7 @@ def run_record_cell(cell: SweepCell) -> dict:
         "monitored_transactions": metrics.monitored_transactions,
     }
     if "flight" in metrics.result:
-        flight = dict(metrics.result["flight"])
-        flight.pop("dedup", None)   # keep the dict picklable-flat
-        out["flight"] = flight
+        out["flight"] = dict(metrics.result["flight"])
     return out
 
 

@@ -147,12 +147,12 @@ class F1Deployment:
 
         ``flight_probe(cycle)`` fires on ``flight_anchor_stride`` cycle
         boundaries: if the design is quiescent and packets were emitted
-        since the last anchor, snapshot the architectural state, queue an
-        ANCHOR frame at the exact packet-stream watermark, and reset the
-        encoder's dedup dictionary so the new epoch is self-contained.
-        All of this is host-side bookkeeping — it never stalls or reorders
-        the simulated design, so flight recordings are timing-identical
-        regardless of how often anchoring succeeds.
+        since the last anchor, snapshot the architectural state and queue
+        an ANCHOR frame at the exact packet-stream watermark; the store
+        restarts its RUN compression there, so the new epoch is
+        self-contained. All of this is host-side bookkeeping — it never
+        stalls or reorders the simulated design, so flight recordings are
+        timing-identical regardless of how often anchoring succeeds.
 
         The probe is *not* installed as a per-cycle hook: cycle hooks cost
         a Python call on every simulated cycle and disable the kernel's
@@ -192,9 +192,8 @@ class F1Deployment:
             # largest incompressible checkpoint payload — are dead weight
             # in an ANCHOR frame. Drop them before stringifying.
             checkpoint.host_words = {}
-            if store.request_anchor(ordinal, cycle,
-                                    checkpoint_to_dict(checkpoint)):
-                encoder.reset_dedup()
+            store.request_anchor(ordinal, cycle,
+                                 checkpoint_to_dict(checkpoint))
             last_ordinal[0] = ordinal
 
         self.flight_probe = probe

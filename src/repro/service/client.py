@@ -177,7 +177,7 @@ class FlightStreamer:
                 "(config.flight_recorder=True)")
         prefix = build_v3_container(
             shim.table, shim.encoder.record_output_contents,
-            self.metadata, b"", shim.config.flight_dedup_slots)
+            self.metadata, b"")
         self.client.ingest_begin(self.tenant, prefix)
         self._store = store
         self._thread = threading.Thread(target=self._sender_loop,

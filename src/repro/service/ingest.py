@@ -42,6 +42,19 @@ _TENANT_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 __all__ = ["IngestManager"]
 
 
+def _rotate(path: Path) -> None:
+    """Rename ``path`` to ``<path>.<n>`` (lowest free n) durably."""
+    n = 1
+    while path.with_name(f"{path.name}.{n}").exists():
+        n += 1
+    os.replace(path, path.with_name(f"{path.name}.{n}"))
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 class _Tenant:
     """One tenant's live ingest state: journal handle + parser + ring."""
 
@@ -87,15 +100,19 @@ class IngestManager:
     def begin(self, tenant: str, prefix: bytes) -> Dict[str, Any]:
         """Open a tenant stream; ``prefix`` is a zero-frame v3 container.
 
-        A re-begin for a live tenant closes the old journal first (the
-        recorder restarted); the old stream's bytes stay on disk until
-        overwritten by the new journal of the same name.
+        A re-begin closes the tenant's live journal first (the recorder
+        restarted). A non-empty journal already on disk — that stream, or
+        one a killed daemon left behind — is never truncated: it is
+        renamed to ``<tenant>.vtrc3.<n>`` (lowest free ``n`` from 1) and
+        stays salvage-loadable.
         """
         path = self.journal_path(tenant)
         with self._lock:
             old = self._tenants.pop(tenant, None)
         if old is not None:
             self._close(old, append_end=not old.parser.end_seen)
+        if path.exists() and path.stat().st_size:
+            _rotate(path)
         state = _Tenant(tenant, path, self.retain_bytes)
         state.fh.write(prefix)
         state.fh.flush()

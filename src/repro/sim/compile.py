@@ -513,8 +513,9 @@ def schedule_cache_stats() -> Dict[str, int]:
     In-process tier: ``hits``/``misses``/``uncacheable``/``entries``.
     Disk tier (:mod:`repro.sim.schedule_store`): ``disk_hits``,
     ``disk_misses``, ``disk_invalidations``, ``disk_writes``,
-    ``disk_entries``, ``disk_bytes``, ``disk_dir``. Registered providers
-    (the warm worker pool's affinity counters) are merged last.
+    ``disk_write_failures``, ``disk_entries``, ``disk_bytes``,
+    ``disk_dir``. Registered providers (the warm worker pool's affinity
+    counters) are merged last.
     """
     from repro.sim import schedule_store
 

@@ -76,6 +76,7 @@ _STATS = {
     "disk_misses": 0,
     "disk_invalidations": 0,
     "disk_writes": 0,
+    "disk_write_failures": 0,
 }
 
 # The payload fields a valid entry must carry (everything _CacheEntry
@@ -244,14 +245,16 @@ def save(schedule_key: tuple, source: str, code, recipe: dict,
     """Persist one compiled artifact; returns the path, or ``None``.
 
     Failures (read-only dir, full disk, unpicklable recipe from an exotic
-    inline hook) are swallowed — a cache write must never break a
-    compile. Uses atomic rename so a crash mid-write leaves either the
-    previous entry or none, never a torn file.
+    inline hook) never break a compile: the part file is unlinked and
+    ``disk_write_failures`` counts the loss, so ``stats()`` shows it.
+    Uses atomic rename so a crash mid-write leaves either the previous
+    entry or none, never a torn file.
     """
     directory = cache_dir()
     if directory is None:
         return None
     key = store_key(schedule_key)
+    part = directory / (key + f".part.{os.getpid()}")
     payload = {
         "format": FORMAT_VERSION,
         "repro_version": repro.__version__,
@@ -275,13 +278,17 @@ def save(schedule_key: tuple, source: str, code, recipe: dict,
         framed = _encode(payload)
         directory.mkdir(parents=True, exist_ok=True)
         final = directory / (key + _SUFFIX)
-        part = directory / (key + f".part.{os.getpid()}")
         with open(part, "wb") as handle:
             handle.write(framed)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(part, final)
     except Exception:
+        _STATS["disk_write_failures"] += 1
+        try:
+            part.unlink(missing_ok=True)
+        except OSError:
+            pass
         return None
     _STATS["disk_writes"] += 1
     _PRELOADED[key] = payload

@@ -101,12 +101,6 @@ def cmd_stats(args) -> int:
     cs = trace.container_stats
     if cs:
         # v3 flight-recorder container: the loader kept expansion stats.
-        refs = cs["backrefs"] + cs["literals"]
-        if refs:
-            print(f"dedup        : {cs['backrefs']} backref(s) / "
-                  f"{refs} dedupable payload(s) "
-                  f"({100.0 * cs['backrefs'] / refs:.1f}% hit rate, "
-                  f"{cs['dedup_slots']}-slot dictionary)")
         if cs["frame_bytes"]:
             print(f"compression  : {fmt_bytes(cs['body_bytes'])} flat -> "
                   f"{fmt_bytes(cs['frame_bytes'])} framed "
@@ -471,8 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "event semantics (exit 1 on any silent accept)")
     p_fuzz.add_argument("--container", type=int, default=2, choices=(2, 3),
                         help="container version --frames targets: 2 "
-                        "(CRC-framed body) or 3 (flight-recorder frames, "
-                        "incl. the CRC-refixed backref mutant)")
+                        "(CRC-framed body) or 3 (flight-recorder frames)")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_sal = sub.add_parser(

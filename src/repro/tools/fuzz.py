@@ -180,9 +180,9 @@ def fuzz_frames(trace: TraceFile, n_mutants: int = 50,
     (:func:`~repro.core.mutation.corrupt_frame` cycles through every
     region class: magic, lengths, header, body, footer). ``version=3``
     targets the flight-recorder frame container instead
-    (:func:`~repro.core.mutation.corrupt_v3_frame`: run/anchor payload
-    flips, mid-frame truncation, and the CRC-refixed ``backref`` mutant
-    that only the dedup decode can catch). Verdicts:
+    (:func:`~repro.core.mutation.corrupt_v3_frame`: magic, length and
+    header flips, run/anchor payload flips, mid-frame truncation).
+    Verdicts:
 
     * ``detected``      — the load raised a typed ``TraceFormatError``
       (salvageable regions additionally note what salvage recovered);
@@ -199,7 +199,7 @@ def fuzz_frames(trace: TraceFile, n_mutants: int = 50,
         blob = trace.to_bytes(version=3)
         regions: tuple = V3_FRAME_REGIONS
         corrupt = corrupt_v3_frame
-        salvage_regions = ("run", "anchor", "truncate", "backref")
+        salvage_regions = ("run", "anchor", "truncate")
     else:
         blob = trace.to_bytes()
         regions = FRAME_REGIONS

@@ -12,7 +12,7 @@ from repro.analysis.profile import profile_trace, render_profile
 from repro.apps import atop_echo, dram_dma
 from repro.core import VidiConfig
 from repro.platform import F1Deployment
-from repro.tools.fuzz import fuzz_replay, render_fuzz
+from repro.tools.fuzz import fuzz_frames, fuzz_replay, render_fuzz
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +140,18 @@ class TestFuzzer:
                                max_cycles=8_000)
         text = render_fuzz(outcomes)
         assert "fuzz summary" in text
+
+
+class TestFrameFuzzer:
+    """The container fuzzer (``make fuzz-frames`` runs it at 200 mutants
+    per container): every damaged container must fail to load or load
+    the original content; a silent accept is a framing hole."""
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_no_frame_mutant_is_silently_accepted(self, dma_trace, version):
+        outcomes = fuzz_frames(dma_trace, n_mutants=60, seed=0,
+                               version=version)
+        assert len(outcomes) == 60
+        assert [o for o in outcomes if o.verdict == "silent-accept"] == []
+        assert sum(o.verdict == "detected" for o in outcomes) >= 55
+        assert "silent-accept" not in render_fuzz(outcomes)

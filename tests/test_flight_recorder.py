@@ -1,25 +1,16 @@
-"""Tests for the flight recorder: dedup dictionary, v3 frame container,
-ring-buffer retention, and wrap-boundary suffix replay."""
+"""Tests for the flight recorder: v3 frame container, ring-buffer
+retention, and wrap-boundary suffix replay."""
 
+import json
 import os
 import random
 import zlib
 
 import pytest
 
-from repro.core.decoder import expand_dedup_stream
 from repro.core.events import ChannelInfo, ChannelTable
-from repro.core.mutation import (
-    V3_FRAME_REGIONS,
-    corrupt_backref,
-    corrupt_v3_frame,
-)
-from repro.core.packets import (
-    DEDUP_MIN_BYTES,
-    DEDUP_SLOT_BYTES,
-    CyclePacket,
-    DedupDict,
-)
+from repro.core.mutation import V3_FRAME_REGIONS, corrupt_v3_frame
+from repro.core.packets import CyclePacket
 from repro.core.trace_file import (
     FRAME_ANCHOR,
     FRAME_END,
@@ -27,9 +18,12 @@ from repro.core.trace_file import (
     TraceFile,
     TraceWriter,
     build_v3_container,
+    encode_anchor_frame,
+    encode_end_frame,
+    encode_run_frame,
 )
 from repro.core.trace_ring import RingTraceStore
-from repro.errors import ConfigError, TraceFormatError, TraceIntegrityError
+from repro.errors import TraceFormatError, TraceIntegrityError
 
 
 def small_table() -> ChannelTable:
@@ -42,7 +36,7 @@ def small_table() -> ChannelTable:
 
 
 def repetitive_trace(n_packets: int = 24, distinct: int = 3) -> TraceFile:
-    """A trace whose contents repeat, so dedup emits real backrefs."""
+    """A trace whose contents repeat (the flight recorder's common case)."""
     table = small_table()
     packets = []
     for i in range(n_packets):
@@ -53,94 +47,39 @@ def repetitive_trace(n_packets: int = 24, distinct: int = 3) -> TraceFile:
     return TraceFile.from_packets(table, packets, metadata={"app": "unit"})
 
 
-class TestDedupDict:
-    def test_ascending_slots_then_lru_eviction(self):
-        dedup = DedupDict(slots=2)
-        assert dedup.insert(b"aaaa") == 0
-        assert dedup.insert(b"bbbb") == 1
-        # Touch slot 0, so the LRU victim is slot 1.
-        assert dedup.find(b"aaaa") == 0
-        assert dedup.insert(b"cccc") == 1
-        assert dedup.find(b"bbbb") is None
-        assert dedup.get(1) == b"cccc"
-        assert dedup.evictions == 1
-
-    def test_get_rejects_out_of_range_and_unwritten_slots(self):
-        dedup = DedupDict(slots=4)
-        dedup.insert(b"xxxx")
-        with pytest.raises(TraceFormatError):
-            dedup.get(1)            # in range, never written
-        with pytest.raises(TraceFormatError):
-            dedup.get(4)            # out of range
-        with pytest.raises(TraceFormatError):
-            dedup.get(-1)
-
-    def test_clear_resets_slots_but_not_counters(self):
-        dedup = DedupDict(slots=2)
-        dedup.insert(b"aaaa")
-        dedup.find(b"aaaa")
-        dedup.clear()
-        assert dedup.find(b"aaaa") is None
-        with pytest.raises(TraceFormatError):
-            dedup.get(0)
-        assert dedup.insert(b"bbbb") == 0   # slot numbering restarts
-        assert dedup.inserts == 2           # cumulative stats survive
-
-    def test_capacity_bounds(self):
-        with pytest.raises(TraceFormatError):
-            DedupDict(slots=0)
-        with pytest.raises(TraceFormatError):
-            DedupDict(slots=(1 << (8 * DEDUP_SLOT_BYTES)) + 1)
+def first_epoch_stream(blob: bytes) -> bytes:
+    """Decompressed RUN payloads of a v3 container's first epoch."""
+    offset = 20 + int.from_bytes(blob[8:16], "little")
+    dobj = None
+    stream = bytearray()
+    while offset < len(blob):
+        kind = blob[offset]
+        plen = int.from_bytes(blob[offset + 1:offset + 5], "little")
+        payload = blob[offset + 9:offset + 9 + plen]
+        offset += 9 + plen
+        if kind == FRAME_RUN:
+            dobj = dobj or zlib.decompressobj()
+            stream += dobj.decompress(payload)
+        elif dobj is not None:      # the next ANCHOR (or END) closes it
+            break
+    return bytes(stream)
 
 
-class TestDedupStream:
-    def _streams(self, trace: TraceFile, slots: int = 8):
-        """(flat body, dedup-coded stream) for the same packet sequence."""
-        table = trace.table
-        dedup = DedupDict(slots=slots)
-        flat, coded = bytearray(), bytearray()
-        for packet in trace.packets():
-            packet.serialize_into(flat, table, True)
-            packet.serialize_into(coded, table, True, dedup=dedup)
-        return bytes(flat), bytes(coded)
-
-    def test_round_trip_is_byte_identical_to_flat(self):
-        trace = repetitive_trace(24)
-        flat, coded = self._streams(trace)
-        assert len(coded) < len(flat)          # repeats actually dedup
-        out = bytearray()
-        n, consumed = expand_dedup_stream(coded, trace.table, True,
-                                          DedupDict(slots=8), out)
-        assert n == trace.packet_count
-        assert consumed == len(coded)
-        assert bytes(out) == flat == bytes(trace.body)
-
-    def test_round_trip_survives_lru_eviction(self):
-        # More distinct payloads than slots: both sides must evict in
-        # lockstep for the expansion to stay correct.
-        trace = repetitive_trace(40, distinct=6)
-        flat, coded = self._streams(trace, slots=2)
-        out = bytearray()
-        expand_dedup_stream(coded, trace.table, True, DedupDict(slots=2), out)
-        assert bytes(out) == flat
-
-    def test_backref_into_fresh_dictionary_is_detected(self):
-        # Decode only the tail of a coded stream: its backrefs point at
-        # slots a fresh dictionary never wrote.
-        trace = repetitive_trace(6, distinct=1)
-        _, coded = self._streams(trace)
-        first = bytearray()
-        packet = trace.packets()[0]
-        packet.serialize_into(first, trace.table, True,
-                              dedup=DedupDict(slots=8))
-        tail = coded[len(first):]
-        with pytest.raises(TraceFormatError):
-            expand_dedup_stream(tail, trace.table, True, DedupDict(slots=8),
-                                bytearray())
-        n, consumed = expand_dedup_stream(tail, trace.table, True,
-                                          DedupDict(slots=8), bytearray(),
-                                          tolerate_tail=True)
-        assert (n, consumed) == (0, 0)
+def hand_built_v3(trace: TraceFile, stream: bytes,
+                  header_extra=None) -> bytes:
+    """A v3 container whose single epoch carries ``stream`` verbatim."""
+    frames = b"".join([encode_anchor_frame(0, 0, None),
+                       encode_run_frame(stream), encode_end_frame()])
+    blob = build_v3_container(trace.table, trace.with_validation,
+                              dict(trace.metadata), frames)
+    if header_extra is None:
+        return blob
+    header = json.loads(blob[20:20 + int.from_bytes(blob[8:16], "little")])
+    header.update(header_extra)
+    raw = json.dumps(header).encode("utf-8")
+    return b"".join([blob[:8], len(raw).to_bytes(8, "little"),
+                     zlib.crc32(raw).to_bytes(4, "little"), raw,
+                     frames])
 
 
 class TestV3RoundTrip:
@@ -155,16 +94,20 @@ class TestV3RoundTrip:
         assert loaded.metadata["app"] == "unit"
         assert not loaded.salvaged
 
-    def test_container_stats_report_dedup_and_compression(self):
+    def test_run_payload_is_the_plain_body(self):
+        trace = repetitive_trace(24)
+        assert first_epoch_stream(trace.to_bytes(version=3)) == \
+            bytes(trace.body)
+
+    def test_container_stats_report_compression(self):
         trace = repetitive_trace(24)
         loaded = TraceFile.from_bytes(trace.to_bytes(version=3))
         stats = loaded.container_stats
         assert stats["format"] == 3
         assert stats["packets"] == trace.packet_count
-        assert stats["backrefs"] > 0
-        assert stats["literals"] > 0
         assert stats["anchors"] >= 1
         assert stats["body_bytes"] == len(trace.body)
+        assert 0 < stats["frame_bytes"] < stats["container_bytes"]
 
     def test_truncation_salvages_anchor_led_prefix(self):
         trace = repetitive_trace(24)
@@ -176,6 +119,41 @@ class TestV3RoundTrip:
         assert salvaged.salvaged
         assert 0 < salvaged.packet_count <= trace.packet_count
         assert bytes(trace.body).startswith(bytes(salvaged.body))
+
+    def test_mid_packet_cut_inside_a_valid_frame(self):
+        """Every frame CRC is valid but the epoch's stream ends inside a
+        packet: a strict load raises, salvage keeps the whole packets."""
+        trace = repetitive_trace(6)
+        packet_bytes = len(trace.body) // 6
+        blob = hand_built_v3(trace, bytes(trace.body)[:3 * packet_bytes + 5])
+        with pytest.raises(TraceFormatError, match="undecodable"):
+            TraceFile.from_bytes(blob)
+        salvaged = TraceFile.from_bytes(blob, salvage=True)
+        assert salvaged.packet_count == 3
+        assert bytes(salvaged.body) == bytes(trace.body)[:3 * packet_bytes]
+        assert salvaged.metadata["salvaged"]["dropped_bytes"] == 5
+
+
+class TestLegacyDedupContainer:
+    """Containers written while RUN payloads were dedup-coded carry
+    ``"v3": {"dedup_slots": N}`` in the header; their payloads are not
+    plain body bytes, so both loaders refuse them by name."""
+
+    def test_rejected_strict_and_under_salvage(self):
+        trace = repetitive_trace(6)
+        blob = hand_built_v3(trace, bytes(trace.body),
+                             header_extra={"v3": {"dedup_slots": 1024}})
+        for salvage in (False, True):
+            with pytest.raises(TraceFormatError, match="dedup-coded") as exc:
+                TraceFile.from_bytes(blob, salvage=salvage)
+            assert not isinstance(exc.value, TraceIntegrityError)
+
+    def test_plain_container_has_no_v3_header_key(self):
+        trace = repetitive_trace(6)
+        blob = trace.to_bytes(version=3)
+        header = json.loads(blob[20:20 + int.from_bytes(blob[8:16],
+                                                         "little")])
+        assert "v3" not in header
 
 
 class TestV3Corruption:
@@ -198,55 +176,23 @@ class TestV3Corruption:
                 assert loaded.table.to_dict() == trace.table.to_dict(), \
                     description
 
-    def test_corrupt_backref_passes_crc_fails_decode(self):
-        """The backref mutant re-frames with valid CRCs — only the dedup
-        decode itself can reject it (the hole the v2 fuzzer cannot poke)."""
-        trace = repetitive_trace(24)
-        blob = trace.to_bytes(version=3)
-        description, damaged = corrupt_backref(blob, random.Random(3))
-        assert "backref" in description
-        with pytest.raises(TraceFormatError):
-            TraceFile.from_bytes(damaged)
-        # Salvage still recovers the intact packets before the poisoned
-        # backref (possibly zero if it poisoned the first one).
-        salvaged = TraceFile.from_bytes(damaged, salvage=True)
-        assert salvaged.salvaged
-        assert salvaged.packet_count < trace.packet_count
-        assert bytes(trace.body).startswith(bytes(salvaged.body))
-
-    def test_trace_without_repeats_has_no_backrefs_to_corrupt(self):
-        table = small_table()
-        packets = []
-        for i in range(4):
-            packet = CyclePacket(starts=1, ends=1)
-            packet.contents[0] = (1000 + i).to_bytes(8, "little")
-            packets.append(packet)
-        trace = TraceFile.from_packets(table, packets)
-        with pytest.raises(ConfigError):
-            corrupt_backref(trace.to_bytes(version=3), random.Random(0))
-
 
 def feed_ring(ring: RingTraceStore, table: ChannelTable, n_packets: int,
-              anchor_every: int, slots: int = 8):
-    """Feed a dedup-coded packet stream with periodic re-anchors.
+              anchor_every: int):
+    """Feed a packet stream with periodic re-anchors.
 
-    Mirrors the deployment's contract: the encoder's dictionary is reset
-    at the exact packet boundary the anchor watermark is taken at. Returns
-    the flat (un-deduped) per-packet bodies for reference.
+    Mirrors the deployment's contract: the anchor watermark is taken at
+    an exact packet boundary. Returns the per-packet bodies for reference.
     """
-    dedup = DedupDict(slots=slots)
     flats = []
     for i in range(n_packets):
         packet = CyclePacket(starts=1, ends=2)
         packet.contents[0] = (i % 3).to_bytes(8, "little")
         packet.validation[1] = (i % 3 * 7).to_bytes(8, "little")
-        flat, coded = bytearray(), bytearray()
-        packet.serialize_into(flat, table, True)
-        packet.serialize_into(coded, table, True, dedup=dedup)
-        ring.accept(bytes(coded))
-        flats.append(bytes(flat))
+        flat = packet.serialize(table, True)
+        ring.accept(flat)
+        flats.append(flat)
         if (i + 1) % anchor_every == 0 and i + 1 < n_packets:
-            dedup.clear()
             ring.request_anchor(ordinal=i + 1, cycle=i + 1, checkpoint=None)
     ring.flush()
     return flats
@@ -265,7 +211,7 @@ class TestRingTraceStore:
         ring = RingTraceStore("ring", retain_words=1 << 16)
         flats = feed_ring(ring, table, 30, anchor_every=10)
         assert ring.evicted_epochs == 0
-        body, start, info = ring.expand(table, True, 8)
+        body, start, info = ring.expand(table, True)
         assert start["ordinal"] == 0 and start["checkpoint"] is None
         assert bytes(body) == b"".join(flats)
         assert info["packets"] == 30
@@ -277,7 +223,7 @@ class TestRingTraceStore:
         assert ring.evicted_epochs > 0
         frames = ring.frame_list()
         assert frames[0][0] == FRAME_ANCHOR
-        body, start, info = ring.expand(table, True, 8)
+        body, start, info = ring.expand(table, True)
         k = start["ordinal"]
         assert k > 0 and k % 10 == 0     # an anchor boundary, not mid-epoch
         # The retained window is the exact suffix of the flat stream.
@@ -287,7 +233,7 @@ class TestRingTraceStore:
         table = small_table()
         ring = RingTraceStore("ring", retain_words=1)   # can't hold anything
         feed_ring(ring, table, 40, anchor_every=8)
-        body, start, info = ring.expand(table, True, 8)
+        body, start, info = ring.expand(table, True)
         assert start["ordinal"] == 32                   # last anchor only
         assert info["packets"] == 8
 
@@ -299,7 +245,7 @@ class TestRingTraceStore:
         assert ring.evicted_epochs == 0
         frames = ring.frame_list()
         assert len(frames) == 1 and frames[0][0] == FRAME_ANCHOR
-        body, start, _ = ring.expand(table, True, 8)
+        body, start, _ = ring.expand(table, True)
         assert len(body) == 0 and start["ordinal"] == 0
 
     def test_torn_frame_at_wrap_salvages_to_anchor_led_suffix(self):
@@ -310,7 +256,7 @@ class TestRingTraceStore:
         flats = feed_ring(ring, table, 60, anchor_every=10)
         assert ring.evicted_epochs > 0
         blob = build_v3_container(table, True, {"app": "unit"},
-                                  ring.frame_stream(end=True), 8)
+                                  ring.frame_stream(end=True))
         intact = TraceFile.from_bytes(blob)
         first_kept = intact.metadata["ring"]["ordinal"]
         # Tear the first retained epoch: flip a byte in its first RUN
@@ -394,6 +340,15 @@ class TestFlightRecorderEndToEnd:
         k = small_trace.metadata["ring"]["ordinal"]
         carved = full_trace.index().slice(k, full_trace.packet_count)
         assert bytes(small_trace.body) == bytes(carved)
+
+    def test_flight_blob_round_trips_to_the_recorded_body(self, recordings):
+        _, full, _ = recordings
+        loaded = TraceFile.from_bytes(full.result["flight_blob"])
+        assert bytes(loaded.body) == bytes(full.result["trace"].body)
+        flight = full.result["flight"]
+        assert flight["flat_bytes"] == flight["stream_bytes"] == \
+            len(loaded.body)
+        assert "dedup" not in flight
 
     def test_flight_blob_round_trips_with_ring_metadata(self, recordings):
         _, _, small = recordings

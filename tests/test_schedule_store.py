@@ -133,6 +133,21 @@ def test_preload_serves_hits_without_file_io(store_dir):
     assert sim2.schedule_cache_tier == "disk"
 
 
+def test_failed_write_is_counted_and_leaves_no_part_file(store_dir,
+                                                        monkeypatch):
+    def refuse(src, dst):
+        raise OSError("simulated full disk")
+
+    monkeypatch.setattr(schedule_store.os, "replace", refuse)
+    sim, tail = _chain_sim()
+    sim.run(3)
+    assert tail.out.value == 10     # the compile itself is unaffected
+    stats = schedule_cache_stats()
+    assert stats["disk_write_failures"] == 1
+    assert stats["disk_writes"] == 0
+    assert list(store_dir.iterdir()) == []
+
+
 def test_disabled_tier_stays_cold(store_dir):
     schedule_store.configure(None)
     sim, _ = _chain_sim()

@@ -222,6 +222,48 @@ class TestIngestManager:
         assert Path(ingest.journal_path("u")).read_bytes() == \
             self._stream() + encode_end_frame()
 
+    def test_begin_rotates_an_existing_journal_instead_of_truncating(
+            self, tmp_path):
+        """A recorder reconnecting to a restarted daemon (or re-beginning
+        on the same one) must not destroy the earlier journal."""
+        from repro.core.packets import CyclePacket
+        from repro.core.trace_file import (TraceFile, encode_anchor_frame,
+                                           encode_run_frame)
+        from tests.test_flight_recorder import small_table
+
+        table = small_table()
+        packets = []
+        for i in range(5):
+            packet = CyclePacket(starts=1)
+            packet.contents[0] = i.to_bytes(8, "little")
+            packets.append(packet)
+        trace = TraceFile.from_packets(table, packets)
+        prefix = build_v3_container(table, True, {"app": "unit"}, b"")
+        frames = encode_anchor_frame(0, 0, None) + \
+            encode_run_frame(trace.body)
+
+        first = IngestManager(tmp_path)
+        first.begin("t", prefix)
+        first.frames("t", frames)
+        journal = first.journal_path("t")
+        evidence = journal.read_bytes()
+        # Daemon killed: no end(). A new manager on the same directory.
+        second = IngestManager(tmp_path)
+        second.begin("t", prefix)
+        rotated = journal.with_name("t.vtrc3.1")
+        assert rotated.read_bytes() == evidence
+        assert journal.read_bytes() == prefix
+        salvaged = TraceFile.load(rotated, salvage=True)
+        assert bytes(salvaged.body) == bytes(trace.body)
+        # A same-daemon restart rotates the live journal to the next slot.
+        second.frames("t", frames)
+        second.begin("t", prefix)
+        assert journal.with_name("t.vtrc3.2").read_bytes() == \
+            prefix + frames + encode_end_frame()
+        assert rotated.read_bytes() == evidence
+        second.close_all()
+        first.close_all()   # the "killed" daemon's handle, checks done
+
 
 # ----------------------------------------------------------------------
 # Warm pool drain + job queue scheduling
@@ -431,8 +473,7 @@ def _flight_frames():
     def hook(deployment):
         shim = deployment.shim
         captured["prefix"] = build_v3_container(
-            shim.table, shim.encoder.record_output_contents, {}, b"",
-            shim.config.flight_dedup_slots)
+            shim.table, shim.encoder.record_output_contents, {}, b"")
         shim.store.set_observer(
             lambda kind, payload: captured["frames"].append(
                 encode_frame(kind, payload)))
